@@ -3,7 +3,7 @@
 //! The paper's §III-F reconfiguration path takes a *known* new request rate
 //! — an oracle. A real control plane never has one: it only sees what
 //! arrived. [`DemandEstimator`] is the bridge: feed it per-epoch observed
-//! arrival rates (from [`parva_serve::StreamEngine::last_epoch`] gauges or
+//! arrival rates (from [`parva_serve::Engine::last_epoch`] gauges or
 //! any other measured source), and it produces per-service demand
 //! estimates — a trailing-window mean with a configurable headroom factor —
 //! which [`DemandEstimator::demand_specs`] turns into the `ServiceSpec`
@@ -84,7 +84,7 @@ impl DemandEstimator {
     }
 
     /// Record observed arrival *counts* over an epoch of `epoch_s` seconds
-    /// — the shape the streaming engine's gauges come in.
+    /// — the shape an epoch-stepped engine's gauges come in.
     ///
     /// # Panics
     /// Non-positive `epoch_s`.

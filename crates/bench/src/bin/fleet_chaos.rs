@@ -3,7 +3,8 @@
 //! recovery latency and mixed-pricing cost — then write `fleet_chaos.csv`
 //! under `results/`.
 //!
-//! Each row runs the registered `fleet_chaos` [`ScenarioSpec`] (the same
+//! Each row runs the registered `fleet_chaos`
+//! [`ScenarioSpec`](parvagpu::scenarios::ScenarioSpec) (the same
 //! declarative object behind `parvactl run fleet_chaos`) with the row's
 //! seed — the experiment definition lives in the spec registry, not in
 //! this binary.

@@ -4,7 +4,8 @@
 //! dips, regional cost), and write `region_failover.csv` under
 //! `results/`.
 //!
-//! Each row runs the registered `region_failover` [`ScenarioSpec`] (the
+//! Each row runs the registered `region_failover`
+//! [`ScenarioSpec`](parvagpu::scenarios::ScenarioSpec) (the
 //! same declarative object behind `parvactl run region_failover`) with
 //! the row's seed — the experiment definition lives in the spec
 //! registry, not in this binary.

@@ -12,8 +12,9 @@
 //! * [`NodeType`] — cloud instance types (p4de/p4d) with GPU count, vCPUs,
 //!   host memory and hourly price;
 //! * [`PricingPlan`] — on-demand / reserved / spot multipliers;
-//! * [`pack`] — mapping a deployment's GPUs onto nodes, honouring the
-//!   per-node vCPU budget consumed by inference-server processes;
+//! * [`pack`](mod@pack) — mapping a deployment's GPUs onto nodes,
+//!   honouring the per-node vCPU budget consumed by inference-server
+//!   processes;
 //! * [`CostReport`] — per-scheduler dollars (hourly/monthly) and savings
 //!   versus a baseline, turning Figure 5's GPU counts into the cost claim
 //!   the paper states in prose ("ParvaGPU can further reduce costs by the

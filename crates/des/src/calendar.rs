@@ -15,8 +15,13 @@
 //! the queue performs no allocation in steady state. Events beyond the
 //! wheel horizon wait in a small overflow heap and are folded into slots
 //! as the horizon rolls forward.
+//!
+//! The queue serializes as its clock, counters and pending events — a
+//! `[at, seq, payload]` list in pop order — and rebuilds the wheel on
+//! load, so a suspended simulation resumes with the identical pop order.
 
 use crate::time::SimTime;
+use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -29,14 +34,17 @@ const TIME_BITS: u32 = 48;
 const SEQ_BITS: u32 = 32;
 const PAYLOAD_BITS: u32 = 48;
 const PAYLOAD_MASK: u64 = (1 << PAYLOAD_BITS) - 1;
+/// Sequence numbers a key can hold; reaching it renumbers the queue.
+const SEQ_LIMIT: u64 = 1 << SEQ_BITS;
 
 /// A time-ordered queue of `u128`-packed events with FIFO tie-breaking.
 ///
 /// Payloads are caller-defined 48-bit values (an event tag plus small
-/// indices); times are capped at 2⁴⁸ µs (~8.9 simulated years) and one
-/// queue instance supports 2³² scheduled events — both far beyond any
-/// serving window, and debug-asserted.
-#[derive(Debug)]
+/// indices); times are capped at 2⁴⁸ µs (~8.9 simulated years), which is
+/// debug-asserted. Sequence numbers are 32 bits wide: when a long-running
+/// queue reaches 2³² schedules it renumbers its pending events in pop
+/// order, so the FIFO tie-break holds for any number of schedules.
+#[derive(Debug, Clone)]
 pub struct CalendarQueue {
     /// Rolling buckets; slot `s` holds events whose `at >> SLOT_SHIFT`
     /// is congruent to `s` and within the current horizon.
@@ -45,7 +53,8 @@ pub struct CalendarQueue {
     active: Vec<u128>,
     /// Events beyond the wheel horizon, min-first.
     overflow: BinaryHeap<Reverse<u128>>,
-    /// Slot index (absolute, not wrapped) the active bucket belongs to.
+    /// Slot index (absolute, not wrapped) the active bucket belongs to;
+    /// never past the slot of `now`'s next pending event.
     cur_slot: u64,
     /// Events currently stored in `slots` (not `active`, not `overflow`).
     in_slots: usize,
@@ -89,7 +98,8 @@ impl CalendarQueue {
         q
     }
 
-    /// Current simulation time (time of the last popped event).
+    /// Current simulation time (time of the last popped event, or the
+    /// bound of the last [`skip_to`](Self::skip_to)).
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
@@ -134,11 +144,16 @@ impl CalendarQueue {
         )
     }
 
+    #[inline]
+    fn seq_of(key: u128) -> u64 {
+        (key >> PAYLOAD_BITS) as u64 & (SEQ_LIMIT - 1)
+    }
+
     /// Schedule `payload` at absolute time `at`.
     ///
     /// # Panics
-    /// In debug builds: scheduling into the past, a payload above 48 bits,
-    /// a time above 2⁴⁸ µs, or more than 2³² schedules on one queue.
+    /// In debug builds: scheduling into the past, a payload above 48 bits
+    /// or a time above 2⁴⁸ µs.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, payload: u64) {
         debug_assert!(
@@ -148,12 +163,26 @@ impl CalendarQueue {
         );
         debug_assert!(payload <= PAYLOAD_MASK, "payload exceeds 48 bits");
         debug_assert!(at.micros() < 1 << TIME_BITS, "time exceeds 48 bits");
-        debug_assert!(self.seq < u64::from(u32::MAX), "seq exceeds 32 bits");
+        if self.seq == SEQ_LIMIT {
+            self.renumber();
+        }
         let key = Self::pack(at, self.seq, payload);
         self.seq += 1;
         self.pending += 1;
         self.peak = self.peak.max(self.pending);
-        let slot = at.micros() >> SLOT_SHIFT;
+        self.place(key);
+    }
+
+    /// Schedule `payload` after `delay` from now.
+    #[inline]
+    pub fn schedule_in(&mut self, delay: SimTime, payload: u64) {
+        self.schedule(self.now + delay, payload);
+    }
+
+    /// File one key into the active bucket, its wheel slot or overflow.
+    #[inline]
+    fn place(&mut self, key: u128) {
+        let slot = Self::unpack(key).0.micros() >> SLOT_SHIFT;
         if slot == self.cur_slot {
             // Into the live bucket: sorted (descending) insert.
             let pos = self.active.partition_point(|&k| k > key);
@@ -166,32 +195,64 @@ impl CalendarQueue {
         }
     }
 
-    /// Schedule `payload` after `delay` from now.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: SimTime, payload: u64) {
-        self.schedule(self.now + delay, payload);
+    /// Every pending key, ascending (pop order).
+    fn sorted_keys(&self) -> Vec<u128> {
+        let mut keys: Vec<u128> = self
+            .active
+            .iter()
+            .chain(self.slots.iter().flatten())
+            .copied()
+            .chain(self.overflow.iter().map(|&Reverse(k)| k))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Sequence numbers ran out: re-key the pending events `0..n` in pop
+    /// order, which keeps their relative order and leaves every later
+    /// schedule behind them.
+    #[cold]
+    fn renumber(&mut self) {
+        let keys = self.sorted_keys();
+        self.active.clear();
+        self.slots.iter_mut().for_each(Vec::clear);
+        self.overflow.clear();
+        self.in_slots = 0;
+        self.seq = 0;
+        for key in keys {
+            let (at, payload) = Self::unpack(key);
+            self.place(Self::pack(at, self.seq, payload));
+            self.seq += 1;
+        }
     }
 
     /// Advance the wheel until `active` holds the next bucket's events.
+    /// Stops short — returning `false` with the wheel no further than the
+    /// slot of `until` — when no pending event is due by `until`.
     #[cold]
-    fn advance(&mut self) {
+    fn advance(&mut self, until: SimTime) -> bool {
         debug_assert!(self.active.is_empty());
+        let limit = until.micros() >> SLOT_SHIFT;
         loop {
+            if self.cur_slot >= limit {
+                return false;
+            }
             if self.in_slots == 0 {
                 // Nothing on the wheel: jump the horizon to the first
-                // overflow event (or give up — pop() handles empty).
+                // overflow event (or give up — nothing is pending).
                 let Some(&Reverse(min)) = self.overflow.peek() else {
-                    return;
+                    return false;
                 };
-                let (at, _) = Self::unpack(min);
-                let target = at.micros() >> SLOT_SHIFT;
+                let target = Self::unpack(min).0.micros() >> SLOT_SHIFT;
+                if target > limit {
+                    return false;
+                }
                 self.cur_slot = self.cur_slot.max((target + 1).saturating_sub(SLOTS as u64));
             }
             self.cur_slot += 1;
             // Overflow events entering the horizon land on the wheel.
             while let Some(&Reverse(key)) = self.overflow.peek() {
-                let (at, _) = Self::unpack(key);
-                let slot = at.micros() >> SLOT_SHIFT;
+                let slot = Self::unpack(key).0.micros() >> SLOT_SHIFT;
                 if slot >= self.cur_slot + SLOTS as u64 {
                     break;
                 }
@@ -206,7 +267,7 @@ impl CalendarQueue {
                 std::mem::swap(&mut self.active, &mut self.slots[idx]);
                 self.in_slots -= self.active.len();
                 self.active.sort_unstable_by(|a, b| b.cmp(a));
-                return;
+                return true;
             }
         }
     }
@@ -215,18 +276,97 @@ impl CalendarQueue {
     /// `(time, payload)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, u64)> {
-        if self.active.is_empty() {
-            if self.pending == 0 {
-                return None;
-            }
-            self.advance();
+        self.pop_until(SimTime(u64::MAX))
+    }
+
+    /// Pop the next event if it is due at or before `until`, advancing the
+    /// clock to its timestamp; `None` leaves a later event pending.
+    #[inline]
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, u64)> {
+        if self.active.is_empty() && (self.pending == 0 || !self.advance(until)) {
+            return None;
         }
-        let key = self.active.pop()?;
-        let (at, payload) = Self::unpack(key);
+        let (at, payload) = Self::unpack(*self.active.last()?);
+        if at > until {
+            return None;
+        }
+        self.active.pop();
         self.now = at;
         self.processed += 1;
         self.pending -= 1;
         Some((at, payload))
+    }
+
+    /// Move the clock forward to `t` without popping (a no-op for a `t`
+    /// already passed). No pending event may be due before `t` — the
+    /// guarantee a [`pop_until(t)`](Self::pop_until) that returned `None`
+    /// leaves behind.
+    pub fn skip_to(&mut self, t: SimTime) {
+        debug_assert!(
+            self.sorted_keys()
+                .first()
+                .is_none_or(|&k| Self::unpack(k).0 >= t),
+            "skipping past a pending event"
+        );
+        self.now = self.now.max(t);
+    }
+}
+
+/// The serialized form: clock, counters and the pending events in pop
+/// order as `[at, seq, payload]`.
+#[derive(Serialize, Deserialize)]
+struct Snapshot {
+    now: SimTime,
+    seq: u64,
+    processed: u64,
+    peak: usize,
+    events: Vec<(u64, u64, u64)>,
+}
+
+impl Serialize for CalendarQueue {
+    fn to_value(&self) -> serde::Value {
+        Snapshot {
+            now: self.now,
+            seq: self.seq,
+            processed: self.processed,
+            peak: self.peak,
+            events: self
+                .sorted_keys()
+                .into_iter()
+                .map(|k| {
+                    let (at, payload) = Self::unpack(k);
+                    (at.micros(), Self::seq_of(k), payload)
+                })
+                .collect(),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for CalendarQueue {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let snap = Snapshot::from_value(v)?;
+        let mut q = Self::new();
+        q.now = snap.now;
+        q.seq = snap.seq;
+        q.processed = snap.processed;
+        q.peak = snap.peak;
+        q.cur_slot = snap.now.micros() >> SLOT_SHIFT;
+        q.pending = snap.events.len();
+        for (at, seq, payload) in snap.events {
+            if at < snap.now.micros() || at >= 1 << TIME_BITS {
+                return Err(serde::Error::custom(format!(
+                    "CalendarQueue: event time {at} outside [now, 2^48)"
+                )));
+            }
+            if seq >= snap.seq || payload > PAYLOAD_MASK {
+                return Err(serde::Error::custom(
+                    "CalendarQueue: event sequence or payload out of range",
+                ));
+            }
+            q.place(Self::pack(SimTime(at), seq, payload));
+        }
+        Ok(q)
     }
 }
 
@@ -288,6 +428,94 @@ mod tests {
         while q.pop().is_some() {}
         assert_eq!(q.pending(), 0);
         assert_eq!(q.peak_pending(), 50);
+    }
+
+    #[test]
+    fn pop_until_leaves_later_events_pending() {
+        let mut q = CalendarQueue::new();
+        q.schedule(SimTime(500), 1);
+        q.schedule(SimTime(5_000_000), 2);
+        assert_eq!(q.pop_until(SimTime(499)), None);
+        assert_eq!(q.pop_until(SimTime(500)), Some((SimTime(500), 1)));
+        assert_eq!(q.pop_until(SimTime(4_000_000)), None);
+        q.skip_to(SimTime(4_000_000));
+        assert_eq!(q.now(), SimTime(4_000_000));
+        // Events scheduled after the skip still order against the old ones.
+        q.schedule(SimTime(4_000_100), 3);
+        q.schedule(SimTime(5_000_000), 4);
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(rest, vec![3, 2, 4]);
+    }
+
+    #[test]
+    fn sequence_wrap_renumbers_without_reordering() {
+        // Start a few schedules short of the 32-bit limit so the wrap
+        // happens mid-run, with events pending on every tier (active
+        // bucket, wheel, overflow) and ties across the renumbering.
+        let mut cal = CalendarQueue::new();
+        cal.seq = SEQ_LIMIT - 5;
+        let mut heap: EventQueue<u64> = EventQueue::new();
+        let mut payload = 0u64;
+        for round in 0..6u64 {
+            for dt in [0, 0, 700, 3_000, 2_000_000, 700] {
+                let at = cal.now() + SimTime(dt + round);
+                cal.schedule(at, payload);
+                heap.schedule(at, payload);
+                payload += 1;
+            }
+            for _ in 0..3 {
+                assert_eq!(cal.pop(), heap.pop());
+            }
+        }
+        assert!(cal.seq < SEQ_LIMIT, "the queue renumbered");
+        while let Some(ev) = heap.pop() {
+            assert_eq!(cal.pop(), Some(ev));
+        }
+        assert!(cal.is_empty());
+    }
+
+    #[test]
+    fn snapshot_round_trip_preserves_pop_order() {
+        let mut q = CalendarQueue::new();
+        for (i, dt) in [3_000u64, 10, 10, 900, 2_500_000, 40]
+            .into_iter()
+            .enumerate()
+        {
+            q.schedule(SimTime(dt), i as u64);
+        }
+        q.pop();
+        let mut restored = CalendarQueue::from_value(&q.to_value()).unwrap();
+        assert_eq!(
+            (
+                restored.now(),
+                restored.processed(),
+                restored.peak_pending()
+            ),
+            (q.now(), q.processed(), q.peak_pending())
+        );
+        // Scheduling after the restore continues the same numbering, so
+        // ties keep breaking identically.
+        for queue in [&mut q, &mut restored] {
+            queue.schedule(SimTime(900), 99);
+        }
+        assert_eq!(q.to_value(), restored.to_value());
+        let a: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let b: Vec<_> = std::iter::from_fn(|| restored.pop()).collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn snapshot_rejects_malformed_trees() {
+        let bad = serde::Value::Seq(vec![]);
+        assert!(CalendarQueue::from_value(&bad).is_err());
+        let mut q = CalendarQueue::new();
+        q.schedule(SimTime(10), 1);
+        q.pop();
+        q.schedule(SimTime(20), 2);
+        // An event before the clock cannot be restored.
+        let mut snap = Snapshot::from_value(&q.to_value()).unwrap();
+        snap.events[0].0 = 5;
+        assert!(CalendarQueue::from_value(&snap.to_value()).is_err());
     }
 
     proptest! {

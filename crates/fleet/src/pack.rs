@@ -5,7 +5,7 @@
 //! service, their GPU/vCPU occupancy (via `parva_cluster`'s `PackedNode`
 //! building blocks and per-process vCPU accounting), what the surviving
 //! mixed-pricing fleet costs per hour, and what an idealized homogeneous
-//! re-pack ([`parva_cluster::pack`]) of the same logical deployment would
+//! re-pack ([`parva_cluster::pack()`]) of the same logical deployment would
 //! rent — the consolidation headroom left on the table.
 
 use crate::node::Fleet;

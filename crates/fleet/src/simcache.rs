@@ -4,9 +4,9 @@
 //! steady states: the "after" probe of interval `n` and the "before" probe
 //! of interval `n+1` run the same `(deployment, specs, serving config)`
 //! triple, and a displacement window's control run duplicates the before
-//! probe. Since [`parva_serve::simulate`] is a pure deterministic function
-//! of its inputs, each unique state needs simulating exactly once per
-//! report.
+//! probe. Since [`parva_serve::Simulation::run`] is a pure deterministic
+//! function of its inputs, each unique state needs simulating exactly once
+//! per report.
 //!
 //! Keys are 128-bit FNV-1a hashes streamed over the `Debug` rendering of
 //! the inputs (derived `Debug` covers every field, and the rendering is
@@ -85,7 +85,7 @@ pub fn content_key(tag: &str, parts: &[&dyn std::fmt::Debug]) -> u128 {
 const MAX_ENTRIES: usize = 64;
 
 /// A memo table from content keys to finished serving reports, bounded
-/// by FIFO eviction at [`MAX_ENTRIES`].
+/// by FIFO eviction at `MAX_ENTRIES`.
 ///
 /// Interior-mutable (`Mutex`) so shared-reference probe fan-outs can
 /// consult it; lock hold times are just a map lookup or insert. Eviction

@@ -21,9 +21,9 @@
 //!   whose placement has not changed do not require reconfiguration"):
 //!   computing the smallest set of destroy/create operations between two
 //!   deployment maps and applying only those;
-//! * [`reconcile`] — level-based repair: observe the live fleet, diff it
-//!   against the target map, converge — so manual deletions, driver
-//!   resets and stray instances are healed idempotently.
+//! * [`reconcile`](mod@reconcile) — level-based repair: observe the live
+//!   fleet, diff it against the target map, converge — so manual
+//!   deletions, driver resets and stray instances are healed idempotently.
 //!
 //! Everything is deterministic and in-memory; swapping [`SimNvml`] for a
 //! thin binding over the real NVML preserves the call sequence.

@@ -3,7 +3,7 @@
 //! A checkpoint is a single JSON document:
 //!
 //! ```json
-//! {"schema":"parvad/checkpoint/v1","checksum":1234567890,"state":{…}}
+//! {"schema":"parvad/checkpoint/v2","checksum":1234567890,"state":{…}}
 //! ```
 //!
 //! `state` is the full serialized [`crate::Daemon`]; `checksum` is FNV-1a
@@ -11,7 +11,10 @@
 //! verifies both the schema tag and the checksum before any field is
 //! interpreted, so a truncated, hand-edited or bit-flipped file fails
 //! loudly ("checkpoint checksum mismatch") instead of resuming a subtly
-//! corrupted simulation.
+//! corrupted simulation. The schema tag changes whenever the state's shape
+//! does, so a checkpoint of another shape is refused by name ("unsupported
+//! checkpoint schema") rather than by whichever field first fails to
+//! decode.
 //!
 //! Canonical-form note: checksum stability across encode → parse → re-encode
 //! relies on the vendored `serde_json` printing every `f64` in shortest
@@ -22,8 +25,10 @@
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
-/// Schema tag of the current checkpoint format.
-pub const SCHEMA: &str = "parvad/checkpoint/v1";
+/// Schema tag of the current checkpoint format: v2 carries the unified
+/// serving engine (calendar-queue events, no cached perf memos or
+/// deployment copy).
+pub const SCHEMA: &str = "parvad/checkpoint/v2";
 
 /// FNV-1a, 64-bit — tiny, dependency-free, deterministic.
 #[must_use]
@@ -149,9 +154,27 @@ mod tests {
     fn wrong_schema_is_rejected() {
         let text = encode_checkpoint(&0u64)
             .unwrap()
-            .replace("parvad/checkpoint/v1", "parvad/checkpoint/v0");
+            .replace(SCHEMA, "parvad/checkpoint/v0");
         let err = decode_checkpoint::<u64>(&text).unwrap_err();
         assert!(err.contains("unsupported checkpoint schema"));
+    }
+
+    #[test]
+    fn v1_checkpoint_is_refused_by_schema_not_by_field() {
+        // A v1 daemon carried the separate streaming engine: its state no
+        // longer decodes, but the schema tag must refuse it first, with a
+        // checksum that verifies (the tag sits outside the checksum).
+        let state = r#"{"engine":{"queue":{"now":0,"seq":0,"entries":[]},"epoch_us":500000}}"#;
+        let doc = |schema: &str| {
+            format!(
+                r#"{{"schema":"{schema}","checksum":{},"state":{state}}}"#,
+                fnv1a64(state.as_bytes())
+            )
+        };
+        let err = decode_checkpoint::<crate::Daemon>(&doc("parvad/checkpoint/v1")).unwrap_err();
+        assert!(err.contains("unsupported checkpoint schema"), "{err}");
+        let err = decode_checkpoint::<crate::Daemon>(&doc(SCHEMA)).unwrap_err();
+        assert!(err.contains("does not decode"), "{err}");
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! The daemon proper: streaming engine + closed-loop autoscaler.
+//! The daemon proper: serving engine + closed-loop autoscaler.
 //!
-//! [`Daemon`] owns everything a running control plane is: the epoch-stepped
-//! serving DES ([`parva_serve::StreamEngine`]), the observed-demand
-//! estimator, the live deployment, the admitted pods and the autoscaling
-//! policy. The whole struct is `serde`-serializable, which is what makes
+//! [`Daemon`] owns everything a running control plane is: the serving DES
+//! ([`parva_serve::Engine`], the same engine every batch simulation runs,
+//! here with a window that never closes), the observed-demand estimator,
+//! the live deployment, the admitted pods and the autoscaling policy. The
+//! whole struct is `serde`-serializable, which is what makes
 //! [`crate::checkpoint`] trivial and *complete*: there is no daemon state
 //! outside this struct, so a resumed daemon is the suspended daemon.
 //!
 //! The control loop (one call to [`Daemon::step`] per epoch):
 //!
-//! 1. advance the engine one epoch — requests arrive, batch, complete;
+//! 1. advance the engine one epoch — requests arrive, batch, complete —
+//!    and log the epoch's `parvad-epoch` / `parvad-service` gauge rows;
 //! 2. feed the epoch's *observed* per-service arrival counts to the
 //!    [`DemandEstimator`] (the autoscaler never sees the injected demand
 //!    multipliers — only their consequences);
@@ -26,7 +28,7 @@ use parva_core::{reconfigure, ParvaGpu, Service};
 use parva_deploy::{Deployment, MigDeployment, ServiceSpec};
 use parva_obs::{Row, TraceSink};
 use parva_profile::ProfileBook;
-use parva_serve::{ArrivalProcess, IngressClass, RecoveryOp, RecoverySpec, StreamEngine};
+use parva_serve::{ArrivalProcess, Engine, RecoveryOp, RecoverySpec, ResilienceSpec, Simulation};
 use serde::{Deserialize, Serialize};
 
 /// Closed-loop autoscaler policy knobs.
@@ -130,10 +132,13 @@ pub struct Daemon {
     multipliers: Vec<f64>,
     /// Configured services (Table II state for the incremental path).
     services: Vec<Service>,
-    /// The live MIG deployment.
+    /// The live MIG deployment (the engine keeps only the servers built
+    /// from it).
     deployment: MigDeployment,
-    /// The epoch-streamed serving DES.
-    engine: StreamEngine,
+    /// The serving DES, advanced one epoch per step.
+    engine: Engine,
+    /// Simulated length of one epoch, µs.
+    epoch_us: u64,
     /// Observed-demand estimator.
     estimator: DemandEstimator,
     /// Autoscaler policy.
@@ -149,10 +154,14 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Boot a daemon serving `specs` from epoch 0.
+    /// Boot a daemon serving `specs` from epoch 0, advancing `epoch_us`
+    /// simulated microseconds per step.
     ///
     /// # Errors
     /// Initial plan infeasibility, as a string.
+    ///
+    /// # Panics
+    /// A zero `epoch_us`.
     pub fn new(
         specs: &[ServiceSpec],
         arrivals: ArrivalProcess,
@@ -163,18 +172,17 @@ impl Daemon {
         let (services, deployment) = Self::scheduler()
             .plan(specs)
             .map_err(|e| format!("initial plan infeasible: {e}"))?;
-        let ingress: Vec<Vec<IngressClass>> = specs
-            .iter()
-            .map(|s| vec![IngressClass::local(s.request_rate_rps)])
-            .collect();
-        let engine = StreamEngine::new(
-            Deployment::Mig(deployment.clone()),
-            specs.to_vec(),
-            &ingress,
-            arrivals,
-            seed,
-            epoch_us,
-        );
+        assert!(epoch_us > 0, "epoch must be positive");
+        // Serving forever: no warm-up and a window that never closes, so
+        // every request counts; the default resilience policy drains dark
+        // servers at the router while a reconfiguration recovers them.
+        let health_checked = ResilienceSpec::default();
+        let engine = Simulation::new(&Deployment::Mig(deployment.clone()), specs)
+            .window(0.0, f64::MAX, 0.0)
+            .seed(seed)
+            .arrivals(arrivals)
+            .resilience(&health_checked)
+            .engine();
         let estimator =
             DemandEstimator::new(specs.len(), policy.window.max(1)).with_headroom(policy.headroom);
         let next_id = specs.iter().map(|s| s.id + 1).max().unwrap_or(0);
@@ -186,6 +194,7 @@ impl Daemon {
             services,
             deployment,
             engine,
+            epoch_us,
             estimator,
             policy,
             pods: Vec::new(),
@@ -222,29 +231,78 @@ impl Daemon {
         self.gpu_epochs
     }
 
-    /// The underlying streaming engine (read-only).
+    /// The underlying serving engine (read-only).
     #[must_use]
-    pub fn engine(&self) -> &StreamEngine {
+    pub fn engine(&self) -> &Engine {
         &self.engine
     }
 
     /// Cumulative serving report.
     #[must_use]
     pub fn report(&self) -> parva_serve::StreamReport {
-        self.engine.report()
+        self.engine.stream_report()
+    }
+
+    /// One epoch's duration in seconds.
+    fn epoch_seconds(&self) -> f64 {
+        self.epoch_us as f64 * 1e-6
     }
 
     /// Advance one epoch and run the control loop.
     pub fn step<S: TraceSink>(&mut self, sink: &mut S) {
-        self.engine.step_epoch(sink);
+        self.engine.step_epoch(self.epoch_us, sink);
+        self.log_epoch(sink);
         let counts: Vec<u64> = self.engine.last_epoch().iter().map(|o| o.offered).collect();
-        self.estimator
-            .observe_counts(&counts, self.engine.epoch_seconds());
+        self.estimator.observe_counts(&counts, self.epoch_seconds());
         self.gpu_epochs += self.deployment.gpu_count() as u64;
         if self.policy.decide_every > 0
             && self.engine.epoch().is_multiple_of(self.policy.decide_every)
         {
             self.decide(sink);
+        }
+    }
+
+    /// The epoch's gauge rows: one `parvad-epoch` rollup, then one
+    /// `parvad-service` row per service.
+    fn log_epoch<S: TraceSink>(&self, sink: &mut S) {
+        let obs = self.engine.last_epoch();
+        let offered: u64 = obs.iter().map(|o| o.offered).sum();
+        let completed: u64 = obs.iter().map(|o| o.completed).sum();
+        let within: u64 = obs.iter().map(|o| o.within_slo).sum();
+        let attainment = if completed == 0 {
+            1.0
+        } else {
+            within as f64 / completed as f64
+        };
+        sink.sample(
+            Row::new()
+                .str("kind", "parvad-epoch")
+                .u64("epoch", self.engine.epoch())
+                .f64("t_ms", self.engine.now().micros() as f64 / 1000.0)
+                .u64("offered", offered)
+                .u64("completed", completed)
+                .u64("within_slo", within)
+                .f64("slo_attainment", attainment)
+                .u64("queue_depth", self.engine.queue_depth() as u64)
+                .u64("dark_servers", self.engine.dark_servers() as u64)
+                .u64("gpus", self.deployment.gpu_count() as u64),
+        );
+        for o in obs {
+            sink.sample(
+                Row::new()
+                    .str("kind", "parvad-service")
+                    .u64("epoch", self.engine.epoch())
+                    .u64("service", u64::from(o.service))
+                    .u64("offered", o.offered)
+                    .u64("completed", o.completed)
+                    .u64("within_slo", o.within_slo)
+                    .f64("slo_attainment", o.attainment())
+                    .f64("rate_obs_rps", o.offered as f64 / self.epoch_seconds())
+                    .u64(
+                        "replicas",
+                        self.deployment.segments_of(o.service).count() as u64,
+                    ),
+            );
         }
     }
 
@@ -290,8 +348,8 @@ impl Daemon {
             self.churned_gpus += churned.len() as u64;
             let recovery = self.recovery_for(&churned);
             self.engine.reconfigure(
-                Deployment::Mig(self.deployment.clone()),
-                self.planned.clone(),
+                &Deployment::Mig(self.deployment.clone()),
+                &self.planned,
                 recovery.as_ref(),
                 sink,
             );
@@ -367,8 +425,8 @@ impl Daemon {
         self.churned_gpus += churned.len() as u64;
         let recovery = self.recovery_for(&churned);
         self.engine.reconfigure(
-            Deployment::Mig(self.deployment.clone()),
-            self.planned.clone(),
+            &Deployment::Mig(self.deployment.clone()),
+            &self.planned,
             recovery.as_ref(),
             sink,
         );

@@ -4,9 +4,10 @@
 //! deployment, stream requests through it, report. `parvad` turns that
 //! into a long-running control plane:
 //!
-//! * the serving DES runs as a [`parva_serve::StreamEngine`], advanced in
-//!   bounded epochs, so the daemon can interleave simulation with control
-//!   work and **suspend at any epoch boundary**;
+//! * the serving DES is [`parva_serve::Engine`] — the engine every batch
+//!   simulation runs — with a measurement window that never closes,
+//!   advanced in bounded epochs, so the daemon can interleave simulation
+//!   with control work and **suspend at any epoch boundary**;
 //! * [`checkpoint`] snapshots the entire daemon — event queue, in-flight
 //!   requests, RNG streams, estimator history, autoscaler counters — to a
 //!   checksummed JSON file and resumes it **bit-identically** (the resumed

@@ -10,7 +10,7 @@ use parva_deploy::{Deployment, ServiceSpec};
 use parva_obs::NullSink;
 use parva_perf::Model;
 use parva_profile::ProfileBook;
-use parva_serve::{ArrivalProcess, IngressClass, StreamEngine};
+use parva_serve::{ArrivalProcess, Simulation};
 use parvad::{AutoscalePolicy, Daemon};
 
 const EPOCH_US: u64 = 45_000_000;
@@ -73,19 +73,11 @@ fn daemon_tracks_diurnal_swing_within_two_points_of_oracle() {
 
     // The oracle: re-plans from the *true* rates every epoch, actuates for
     // free (no reflash/copy dark time), serves the same arrival stream.
-    let ingress: Vec<Vec<IngressClass>> = specs
-        .iter()
-        .map(|s| vec![IngressClass::local(s.request_rate_rps)])
-        .collect();
     let (_, boot) = scheduler.plan(&specs).unwrap();
-    let mut oracle = StreamEngine::new(
-        Deployment::Mig(boot),
-        specs.clone(),
-        &ingress,
-        ArrivalProcess::Poisson,
-        seed,
-        EPOCH_US,
-    );
+    let mut oracle = Simulation::new(&Deployment::Mig(boot), &specs)
+        .window(0.0, f64::MAX, 0.0)
+        .seed(seed)
+        .engine();
     let mut oracle_gpu_epochs = 0u64;
     for h in 0..HOURS {
         let m = swing(h);
@@ -95,11 +87,11 @@ fn daemon_tracks_diurnal_swing_within_two_points_of_oracle() {
             .collect();
         let (_, dep) = scheduler.plan(&true_specs).unwrap();
         oracle_gpu_epochs += dep.gpu_count() as u64;
-        oracle.reconfigure(Deployment::Mig(dep), true_specs, None, &mut sink);
+        oracle.reconfigure(&Deployment::Mig(dep), &true_specs, None, &mut sink);
         oracle.set_demand_multiplier(&[m; 3]);
-        oracle.step_epoch(&mut sink);
+        oracle.step_epoch(EPOCH_US, &mut sink);
     }
-    let oracle_attainment = attainment(&oracle.report());
+    let oracle_attainment = attainment(&oracle.stream_report());
 
     assert!(
         daemon_attainment >= oracle_attainment - 0.02,

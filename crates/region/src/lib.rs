@@ -19,7 +19,7 @@
 //!   interval through the §III-F incremental path, with cross-region
 //!   failover when a region can no longer host its plan, and DES serving
 //!   with the RTT charged against the SLO
-//!   ([`parva_serve::simulate_with_ingress`]).
+//!   ([`parva_serve::Simulation::ingress`]).
 //! * [`report`] — the deterministic per-interval [`FederationReport`].
 //!
 //! Entry point: [`run_federation`].

@@ -314,7 +314,7 @@ pub fn route_demand(
 
 /// [`route_demand`] with tenant-weighted-fair spill: when `tenants` is
 /// non-empty, each evacuated source's spill is apportioned by
-/// [`route_source_fair`] (nearest-destination budgets shared across
+/// `route_source_fair` (nearest-destination budgets shared across
 /// tenants by fair-share weight); when `tenants` is empty this is exactly
 /// [`route_demand`].
 #[must_use]

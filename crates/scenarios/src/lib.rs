@@ -205,7 +205,7 @@ impl std::fmt::Display for Scenario {
 /// local day against it (a region at UTC+6 peaks six hours before the
 /// reference region). The multiplier swings sinusoidally between `low`
 /// (local 3 a.m. trough) and `high` (local 3 p.m. peak), matching the
-/// single-region [`RateTrace::diurnal`] shape of `parva-autoscale`.
+/// single-region `RateTrace::diurnal` shape of `parva-autoscale`.
 ///
 /// # Panics
 /// Panics unless `0 < low <= high`.

@@ -20,6 +20,12 @@
 //!   the measurement window (the DCGM semantics behind Eq. 3's internal
 //!   slack),
 //! * full latency histograms per service.
+//!
+//! One engine ([`Engine`]) runs every simulation. [`Simulation`] builds
+//! it, advances it through a warm-up/measurement/drain window and reports;
+//! the `parvad` daemon builds it with a window that never closes, advances
+//! it epoch by epoch, swaps deployments under the live traffic between
+//! epochs, and checkpoints its whole state through `serde`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,18 +38,13 @@ pub mod resilience;
 pub mod router;
 pub mod sim;
 pub mod simulation;
-pub mod stream;
 
 pub use recovery::{RecoveryOp, RecoverySimReport, RecoverySpec};
 pub use report::{
-    ClassReport, ResilienceCounters, ServerActivity, ServiceReport, ServingReport, TenantReport,
+    ClassReport, EpochObservation, ResilienceCounters, ServerActivity, ServiceReport,
+    ServingReport, StreamReport, StreamServiceReport, TenantReport,
 };
 pub use resilience::ResilienceSpec;
 pub use router::Router;
-#[allow(deprecated)]
-pub use sim::{
-    simulate, simulate_with_ingress, simulate_with_recovery, ArrivalProcess, IngressClass,
-    ServingConfig,
-};
+pub use sim::{ArrivalProcess, Engine, IngressClass, ServingConfig};
 pub use simulation::Simulation;
-pub use stream::{EpochObservation, StreamEngine, StreamReport, StreamServiceReport};

@@ -10,10 +10,10 @@
 //! dip is *measured* against live traffic instead of assumed.
 //!
 //! [`RecoverySpec`] is the lowered form a fleet-level migration plan hands
-//! to [`crate::sim::simulate_with_recovery`]: one [`RecoveryOp`] per
-//! affected physical GPU, carrying the hosting node (the contention
-//! domain), whether the GPU re-flashes, how many GiB of weights it
-//! receives, and which logical GPU of the recovered deployment it hosts.
+//! to [`Simulation::recovery`](crate::Simulation::recovery): one
+//! [`RecoveryOp`] per affected physical GPU, carrying the hosting node (the
+//! contention domain), whether the GPU re-flashes, how many GiB of weights
+//! it receives, and which logical GPU of the recovered deployment it hosts.
 //! Ops that were **prepared** ahead of the capacity loss — §III-F shadow
 //! pre-copy on a spot two-minute warning, or cross-region pre-copy on an
 //! evacuation notice — skip their re-flash and copy entirely; only the

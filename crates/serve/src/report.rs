@@ -143,7 +143,8 @@ impl ServiceReport {
 }
 
 /// Per-ingress-class serving outcome (see
-/// [`crate::sim::simulate_with_ingress`]): one row per `(service, class)`.
+/// [`Simulation::ingress`](crate::Simulation::ingress)): one row per
+/// `(service, class)`.
 /// Latencies here *include* the class's network term, so a spilled class's
 /// histogram directly shows the RTT-shifted distribution its remote users
 /// experience.
@@ -246,14 +247,14 @@ pub struct ServingReport {
     pub services: Vec<ServiceReport>,
     /// Per-server activity (order follows the deployment's server list).
     pub servers: Vec<ServerActivity>,
-    /// Per-ingress-class outcomes, service-major then class order. Plain
-    /// [`crate::sim::simulate`] runs have exactly one (local) class per
-    /// service.
+    /// Per-ingress-class outcomes, service-major then class order. Runs
+    /// without [`Simulation::ingress`](crate::Simulation::ingress) classes
+    /// have exactly one (local) class per service.
     #[serde(default)]
     pub classes: Vec<ClassReport>,
     /// What the DES measured about recovery work riding this window
-    /// ([`crate::sim::simulate_with_recovery`]); `None` when no recovery
-    /// was simulated.
+    /// ([`Simulation::recovery`](crate::Simulation::recovery)); `None`
+    /// when no recovery was simulated.
     #[serde(default)]
     pub recovery: Option<RecoverySimReport>,
     /// Per-tenant rollups ([`TenantReport`]); empty (and omitted from the
@@ -344,6 +345,65 @@ impl ServingReport {
         }
         (!total.is_zero()).then_some(total)
     }
+}
+
+/// What one service did during the last completed epoch of an
+/// epoch-stepped run ([`Engine::step_epoch`](crate::Engine::step_epoch))
+/// — the *observed* demand signal a closed-loop autoscaler estimates from
+/// (never the oracle spec rate).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EpochObservation {
+    /// Service id (the spec's `id`, not the engine index).
+    pub service: u32,
+    /// Requests that arrived during the epoch.
+    pub offered: u64,
+    /// Requests whose batch completed during the epoch.
+    pub completed: u64,
+    /// Completed requests that met the client SLO (network term included).
+    pub within_slo: u64,
+}
+
+impl EpochObservation {
+    /// SLO attainment among the epoch's completions (1.0 when idle).
+    #[must_use]
+    pub fn attainment(&self) -> f64 {
+        if self.completed == 0 {
+            1.0
+        } else {
+            self.within_slo as f64 / self.completed as f64
+        }
+    }
+}
+
+/// Cumulative report of an epoch-stepped run
+/// ([`Engine::stream_report`](crate::Engine::stream_report)).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct StreamReport {
+    /// Epochs completed.
+    pub epochs: u64,
+    /// Simulation time reached, ms.
+    pub sim_ms: f64,
+    /// Per-service cumulative outcomes, in engine service order.
+    pub services: Vec<StreamServiceReport>,
+}
+
+/// Cumulative outcome of one service across every completed epoch.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct StreamServiceReport {
+    /// Service id.
+    pub id: u32,
+    /// Requests offered.
+    pub offered: u64,
+    /// Requests completed.
+    pub completed: u64,
+    /// Completions that met the client SLO.
+    pub within_slo: u64,
+    /// `within_slo / completed` (1.0 when nothing completed).
+    pub attainment: f64,
+    /// Mean measured latency, ms.
+    pub mean_ms: f64,
+    /// 99th-percentile measured latency, ms.
+    pub p99_ms: f64,
 }
 
 #[cfg(test)]

@@ -1,17 +1,19 @@
-//! The serving simulation proper.
+//! The serving simulation proper: the [`Engine`] state machine behind
+//! [`crate::Simulation`] and the `parvad` daemon.
 //!
-//! The inner event loop is allocation-free in steady state: events ride a
-//! [`CalendarQueue`] as packed 128-bit keys, batch membership lives in a
-//! recycled slab instead of per-batch `Vec`s, per-(service, class)
-//! accounting is flat and contiguous, and per-server batch timings are
-//! memoized. The optimized engine is property-tested to produce
-//! byte-identical reports to the frozen pre-optimization simulator
-//! (`crate::reference`, compiled for tests only).
+//! The engine is property-tested to produce byte-identical reports to the
+//! frozen pre-optimization simulator (`crate::reference`, compiled for
+//! tests only), whether it is advanced to the window's end at once or
+//! epoch by epoch.
 
 use crate::recovery::{RecoverySimReport, RecoverySpec};
-use crate::report::{ClassReport, ServerActivity, ServiceReport, ServingReport, TenantReport};
+use crate::report::{
+    ClassReport, EpochObservation, ServerActivity, ServiceReport, ServingReport, StreamReport,
+    StreamServiceReport, TenantReport,
+};
 use crate::resilience::ResilienceSpec;
 use crate::router::Router;
+use crate::Simulation;
 use parva_deploy::{Deployment, ServiceSpec, Tenant};
 use parva_des::{CalendarQueue, LatencyHistogram, RngStream, SerialResource, SimTime};
 use parva_obs::{Row, TraceEvent, TraceSink, PID_SERVE};
@@ -127,7 +129,7 @@ const MEMO_EMPTY: SimTime = SimTime(u64::MAX);
 /// capacity (floored at one token so a tiny quota still admits). No RNG
 /// is involved, so quota enforcement never perturbs any sample path — a
 /// rejected arrival simply skips the routing stage.
-#[derive(Debug)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct TokenBucket {
     tokens: f64,
     last_us: u64,
@@ -161,12 +163,12 @@ impl TokenBucket {
     }
 }
 
-/// One live request in the resilience request table. Without a resilience
-/// policy the engine never materializes request identity (queue entries are
-/// plain `(arrival, class)` pairs); with one, queue/slab entries carry a
-/// request id into this table so timeouts, retries and hedge cancellation
-/// can find a request wherever it sits.
-#[derive(Debug, Clone, Copy)]
+/// One live request in the resilience request table. Without timeouts or
+/// hedging the engine never materializes request identity (queue entries
+/// are plain `(arrival, class)` pairs); with either, queue/slab entries
+/// carry a request id into this table so timeouts, retries and hedge
+/// cancellation can find a request wherever it sits.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct ResReq {
     service: u32,
     class: u32,
@@ -185,12 +187,17 @@ struct ResReq {
     hedge_server: i64,
 }
 
-/// All mutable resilience state of one run: the request table (slab with a
-/// free list — steady state allocates nothing), the cluster-wide retry
-/// budget, the backoff-jitter RNG stream, and per-service counters.
-#[derive(Debug)]
+/// All mutable resilience state of one run (present only for a non-inert
+/// [`ResilienceSpec`]): the request table (slab with a free list — steady
+/// state allocates nothing), the cluster-wide retry budget, the
+/// backoff-jitter RNG stream, and per-service counters.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct ResState {
     spec: ResilienceSpec,
+    /// Requests carry identity: only timeouts and hedging need it. Health
+    /// checks and shedding act on routing and queue depth alone, so without
+    /// them the request table stays empty.
+    tracked: bool,
     reqs: Vec<ResReq>,
     free: Vec<u32>,
     budget: Option<TokenBucket>,
@@ -203,20 +210,34 @@ struct ResState {
 }
 
 impl ResState {
-    fn new(spec: ResilienceSpec, seed: u64, services: usize) -> Self {
+    fn new(spec: ResilienceSpec, seed: u64) -> Self {
         Self {
             spec,
+            tracked: spec.timeout_ms > 0.0 || spec.hedge_quantile > 0.0,
             reqs: Vec::new(),
             free: Vec::new(),
             budget: (spec.retry_budget_rps > 0.0).then(|| TokenBucket::new(spec.retry_budget_rps)),
             // A dedicated stream: backoff jitter draws must not perturb
             // any arrival stream's sample path.
             rng: RngStream::new(seed ^ 0x52E5_111E_4CE5_7A7E, 0xBAC0FF),
-            timeouts: vec![0; services],
-            retries: vec![0; services],
-            shed: vec![0; services],
-            hedges: vec![0; services],
-            hedge_wins: vec![0; services],
+            timeouts: Vec::new(),
+            retries: Vec::new(),
+            shed: Vec::new(),
+            hedges: Vec::new(),
+            hedge_wins: Vec::new(),
+        }
+    }
+
+    /// Open the counters of one more service.
+    fn push_service(&mut self) {
+        for counter in [
+            &mut self.timeouts,
+            &mut self.retries,
+            &mut self.shed,
+            &mut self.hedges,
+            &mut self.hedge_wins,
+        ] {
+            counter.push(0);
         }
     }
 
@@ -258,6 +279,18 @@ impl ResState {
     fn epoch_current(&self, rid: usize, epoch_bits: usize) -> bool {
         u64::from(self.reqs[rid].epoch) & B_MASK == epoch_bits as u64
     }
+
+    /// Effective attempt timeout of an ingress class whose network term is
+    /// `network_ms`: that term is budget already spent, so remote classes
+    /// time out sooner (floored at zero — an attempt can be dead on
+    /// arrival).
+    fn attempt_timeout(&self, network_ms: f64) -> SimTime {
+        SimTime(
+            SimTime::from_ms(self.spec.timeout_ms)
+                .micros()
+                .saturating_sub(SimTime::from_ms(network_ms).micros()),
+        )
+    }
 }
 
 /// Drop one request id out of a server queue (timeout pull or hedge twin
@@ -269,7 +302,7 @@ fn remove_rid(queue: &mut VecDeque<(SimTime, u32)>, rid: u32) {
 }
 
 /// One executable server: a MIG segment (p processes) or an MPS partition.
-#[derive(Debug)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Server {
     service: usize,
     /// Logical GPU hosting this server (MIG: the segment's GPU index; MPS:
@@ -293,17 +326,106 @@ struct Server {
     class_timeouts: Vec<SimTime>,
     /// Memoized `(cycle, comp_us)` per `(b_eff, n_busy)` point — the
     /// perf-model arithmetic is pure, so each point is computed at most
-    /// once per sim. Indexed `(b_eff - 1) * procs + (n_busy - 1)`;
-    /// [`MEMO_EMPTY`] marks an unevaluated slot.
+    /// once per server. Indexed `(b_eff - 1) * procs + (n_busy - 1)`;
+    /// [`MEMO_EMPTY`] marks an unevaluated slot. A cache, not state: it is
+    /// never serialized and fills in on first use.
+    #[serde(skip)]
     perf_memo: Vec<(SimTime, u64)>,
     /// True while the server's GPU has recovery work outstanding (re-flash
     /// or weight copy): requests queue but no batch launches.
     dark: bool,
-    /// Waiting requests: `(arrival time, ingress class)`.
+    /// When the server last went dark (opens its `dark` trace span).
+    dark_since: SimTime,
+    /// Waiting requests: `(arrival time, ingress class or request id)`.
     queue: VecDeque<(SimTime, u32)>,
     busy: u32,
     /// SM-occupancy microseconds accumulated inside the window.
     busy_comp_us: u64,
+}
+
+impl Server {
+    fn new(
+        spec: &ServiceSpec,
+        service: usize,
+        gpu: usize,
+        model: Model,
+        share: ComputeShare,
+        (batch, procs): (u32, u32),
+        interference: f64,
+    ) -> Self {
+        let mut server = Self {
+            service,
+            gpu,
+            model,
+            share,
+            batch,
+            procs,
+            interference,
+            batch_timeout: SimTime::ZERO,
+            class_timeouts: Vec::new(),
+            perf_memo: Vec::new(),
+            dark: false,
+            dark_since: SimTime::ZERO,
+            queue: VecDeque::new(),
+            busy: 0,
+            busy_comp_us: 0,
+        };
+        let (full_cycle, _) = server.perf_times(batch, procs);
+        server.batch_timeout = timeout_from_budget(spec, full_cycle);
+        server
+    }
+
+    /// Service time and SM-occupancy of one batch of `b_eff` starting now
+    /// with `n_busy` concurrently active processes.
+    fn perf_times(&self, b_eff: u32, n_busy: u32) -> (SimTime, u64) {
+        let params = PerfParams::for_model(self.model);
+        let gpcs = self.share.effective_gpcs();
+        let interference = self.interference;
+        let cycle_ms = parva_perf::math::cycle_ms_with_interference(
+            &params,
+            gpcs,
+            b_eff,
+            n_busy,
+            interference,
+        );
+        let comp_ms = parva_perf::math::t_comp(&params, gpcs, b_eff) * (1.0 + interference);
+        (
+            SimTime::from_ms(cycle_ms),
+            SimTime::from_ms(comp_ms).micros(),
+        )
+    }
+
+    /// Memoized [`Server::perf_times`]: one perf-model evaluation per
+    /// distinct `(b_eff, n_busy)` point.
+    #[inline]
+    fn batch_times(&mut self, b_eff: u32, n_busy: u32) -> (SimTime, u64) {
+        let idx = ((b_eff - 1) * self.procs + (n_busy - 1)) as usize;
+        if let Some(&cached) = self.perf_memo.get(idx) {
+            if cached.0 != MEMO_EMPTY {
+                return cached;
+            }
+        }
+        let computed = self.perf_times(b_eff, n_busy);
+        if self.perf_memo.is_empty() {
+            self.perf_memo = vec![(MEMO_EMPTY, 0); (self.batch * self.procs) as usize];
+        }
+        self.perf_memo[idx] = computed;
+        computed
+    }
+}
+
+/// One batch in the recycled slab.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct Batch {
+    /// Members, as queued: `(arrival time, ingress class or request id)`.
+    members: Vec<(SimTime, u32)>,
+    /// SM-occupancy of the batch, µs.
+    comp_us: u64,
+    service: u32,
+    /// Fabric generation the batch launched under: its completions always
+    /// count, but capacity only returns to a server of the same generation
+    /// (a reconfiguration may have replaced it).
+    generation: u32,
 }
 
 // ---- packed event encoding (48-bit CalendarQueue payloads) ----
@@ -320,6 +442,10 @@ const B_MASK: u64 = (1 << 20) - 1;
 
 const TAG_ARRIVAL: u64 = 0;
 const TAG_DONE: u64 = 1;
+// Deadline and recovery events carry the fabric generation they were armed
+// under (`a` for deadlines, `b` for recovery, masked): a reconfiguration
+// replaces the servers and recovery work they address, so events of an
+// older generation fall through.
 const TAG_DEADLINE: u64 = 2;
 const TAG_RECOVERY_BEGIN: u64 = 3;
 const TAG_GPU_RECOVERED: u64 = 4;
@@ -339,17 +465,10 @@ fn ev(tag: u64, a: u64, b: u64) -> u64 {
     (tag << TAG_SHIFT) | (a << A_SHIFT) | b
 }
 
-/// Batching deadline for a server: the SLO/2 queuing budget minus one full
+/// Batching deadline from a service's SLO/2 queuing budget minus one full
 /// batch cycle, floored at 1 ms and capped at 250 ms (production batchers
 /// cap the artificial delay regardless of how loose the SLO is).
-fn batch_timeout(spec: &ServiceSpec, server: &Server) -> SimTime {
-    let (full_cycle, _) = batch_times(server, server.batch, server.procs);
-    timeout_from_budget(spec, full_cycle)
-}
-
-/// The pure budget arithmetic behind [`batch_timeout`], shared with the
-/// streaming engine (which carries its own server representation).
-pub(crate) fn timeout_from_budget(spec: &ServiceSpec, full_cycle: SimTime) -> SimTime {
+fn timeout_from_budget(spec: &ServiceSpec, full_cycle: SimTime) -> SimTime {
     let budget_us = SimTime::from_ms(spec.slo.internal_target_ms()).micros();
     SimTime(
         budget_us
@@ -372,33 +491,39 @@ fn hedge_delay(hist: &LatencyHistogram, spec: &ServiceSpec, quantile: f64) -> Si
     SimTime::from_ms(ms)
 }
 
-fn build_servers(deployment: &Deployment, specs: &[ServiceSpec]) -> Vec<Server> {
+/// The servers of `deployment` that serve one of `specs`, and per service
+/// the routing weight (scheduler-predicted throughput) of each of its
+/// servers, as `(server index, weight)` in router slot order.
+fn build_servers(
+    deployment: &Deployment,
+    specs: &[ServiceSpec],
+) -> (Vec<Server>, Vec<Vec<(usize, f64)>>) {
     let idx_of = |id: u32| specs.iter().position(|s| s.id == id);
     let mut servers = Vec::new();
+    let mut weights: Vec<Vec<(usize, f64)>> = vec![Vec::new(); specs.len()];
+    let mut push = |server: Server, throughput: f64| {
+        weights[server.service].push((servers.len(), throughput));
+        servers.push(server);
+    };
     match deployment {
         Deployment::Mig(d) => {
             for ps in d.segments() {
                 let Some(service) = idx_of(ps.segment.service_id) else {
                     continue;
                 };
-                let mut server = Server {
-                    service,
-                    gpu: ps.gpu,
-                    model: ps.segment.model,
-                    share: ComputeShare::Mig(ps.segment.triplet.instance),
-                    batch: ps.segment.triplet.batch,
-                    procs: ps.segment.triplet.procs,
-                    interference: 0.0, // MIG isolates (paper §II-B)
-                    batch_timeout: SimTime::ZERO,
-                    class_timeouts: Vec::new(),
-                    perf_memo: Vec::new(),
-                    dark: false,
-                    queue: VecDeque::new(),
-                    busy: 0,
-                    busy_comp_us: 0,
-                };
-                server.batch_timeout = batch_timeout(&specs[service], &server);
-                servers.push(server);
+                let triplet = ps.segment.triplet;
+                push(
+                    Server::new(
+                        &specs[service],
+                        service,
+                        ps.gpu,
+                        ps.segment.model,
+                        ComputeShare::Mig(triplet.instance),
+                        (triplet.batch, triplet.procs),
+                        0.0, // MIG isolates (paper §II-B)
+                    ),
+                    ps.segment.throughput_rps,
+                );
             }
         }
         Deployment::Mps(d) => {
@@ -407,112 +532,26 @@ fn build_servers(deployment: &Deployment, specs: &[ServiceSpec]) -> Vec<Server> 
                     let Some(service) = idx_of(p.service_id) else {
                         continue;
                     };
-                    let co = d.gpus[gi].co_residents(pi);
-                    let mut server = Server {
-                        service,
-                        gpu: gi,
-                        model: p.model,
-                        share: ComputeShare::Fraction(p.fraction),
-                        batch: p.batch,
-                        procs: p.procs.max(1),
-                        interference: total_interference(p.model, &co),
-                        batch_timeout: SimTime::ZERO,
-                        class_timeouts: Vec::new(),
-                        perf_memo: Vec::new(),
-                        dark: false,
-                        queue: VecDeque::new(),
-                        busy: 0,
-                        busy_comp_us: 0,
-                    };
-                    server.batch_timeout = batch_timeout(&specs[service], &server);
-                    servers.push(server);
+                    let co = gpu.co_residents(pi);
+                    push(
+                        Server::new(
+                            &specs[service],
+                            service,
+                            gi,
+                            p.model,
+                            ComputeShare::Fraction(p.fraction),
+                            (p.batch, p.procs.max(1)),
+                            // `+ 0.0` turns the empty sum's -0.0 into +0.0,
+                            // which JSON round-trips (same arithmetic).
+                            total_interference(p.model, &co) + 0.0,
+                        ),
+                        p.throughput_rps,
+                    );
                 }
             }
         }
     }
-    for s in &mut servers {
-        s.perf_memo = vec![(MEMO_EMPTY, 0); (s.batch * s.procs) as usize];
-    }
-    servers
-}
-
-/// Routing weight of each server (its scheduler-predicted throughput).
-fn predicted_weights(deployment: &Deployment, specs: &[ServiceSpec]) -> Vec<Vec<(usize, f64)>> {
-    // For each service index: list of (server index, weight).
-    let mut per_service: Vec<Vec<(usize, f64)>> = vec![Vec::new(); specs.len()];
-    let mut si = 0usize;
-    match deployment {
-        Deployment::Mig(d) => {
-            for ps in d.segments() {
-                if let Some(s) = specs.iter().position(|x| x.id == ps.segment.service_id) {
-                    per_service[s].push((si, ps.segment.throughput_rps));
-                    si += 1;
-                }
-            }
-        }
-        Deployment::Mps(d) => {
-            for (_, p) in d.partitions() {
-                if let Some(s) = specs.iter().position(|x| x.id == p.service_id) {
-                    per_service[s].push((si, p.throughput_rps));
-                    si += 1;
-                }
-            }
-        }
-    }
-    per_service
-}
-
-/// Service time and SM-occupancy of one batch starting now on `server` with
-/// `n_busy` concurrently active processes.
-fn batch_times(server: &Server, b_eff: u32, n_busy: u32) -> (SimTime, u64) {
-    perf_batch_times(
-        server.model,
-        server.share,
-        server.interference,
-        b_eff,
-        n_busy,
-    )
-}
-
-/// The pure perf-model evaluation behind [`batch_times`]: service time and
-/// SM-occupancy of one batch of `b_eff` with `n_busy` concurrently active
-/// processes on a `(model, share, interference)` executor. Shared with the
-/// streaming engine so both engines price batches identically.
-pub(crate) fn perf_batch_times(
-    model: Model,
-    share: ComputeShare,
-    interference: f64,
-    b_eff: u32,
-    n_busy: u32,
-) -> (SimTime, u64) {
-    let params = PerfParams::for_model(model);
-    let gpcs = share.effective_gpcs();
-    let cycle_ms =
-        parva_perf::math::cycle_ms_with_interference(&params, gpcs, b_eff, n_busy, interference);
-    let comp_ms = parva_perf::math::t_comp(&params, gpcs, b_eff) * (1.0 + interference);
-    (
-        SimTime::from_ms(cycle_ms),
-        SimTime::from_ms(comp_ms).micros(),
-    )
-}
-
-/// Memoized [`batch_times`]: one perf-model evaluation per distinct
-/// `(b_eff, n_busy)` point per server.
-#[inline]
-fn batch_times_memo(
-    servers: &mut [Server],
-    server: usize,
-    b_eff: u32,
-    n_busy: u32,
-) -> (SimTime, u64) {
-    let idx = ((b_eff - 1) * servers[server].procs + (n_busy - 1)) as usize;
-    let cached = servers[server].perf_memo[idx];
-    if cached.0 != MEMO_EMPTY {
-        return cached;
-    }
-    let computed = batch_times(&servers[server], b_eff, n_busy);
-    servers[server].perf_memo[idx] = computed;
-    computed
+    (servers, weights)
 }
 
 /// Book the deterministic recovery timeline: per op, the instant the GPU
@@ -521,11 +560,7 @@ fn batch_times_memo(
 /// eligible when their GPU's re-flash completes (immediately for prepared
 /// / no-re-flash ops) and are granted FIFO by eligibility on the node's
 /// PCIe link.
-pub(crate) fn recovery_timeline<S: TraceSink>(
-    spec: &RecoverySpec,
-    t0: SimTime,
-    sink: &mut S,
-) -> Vec<SimTime> {
+fn recovery_timeline<S: TraceSink>(spec: &RecoverySpec, t0: SimTime, sink: &mut S) -> Vec<SimTime> {
     let t_cp = t0 + SimTime::from_ms(spec.control_plane_ms);
     let mut reflash_locks: BTreeMap<usize, SerialResource> = BTreeMap::new();
     let mut ready: Vec<SimTime> = Vec::with_capacity(spec.ops.len());
@@ -578,6 +613,28 @@ pub(crate) fn recovery_timeline<S: TraceSink>(
     ready
 }
 
+/// The measured report of a recovery beginning at `t`, given its booked
+/// per-op `timeline` and the servers it darkened.
+fn recovery_report(
+    spec: &RecoverySpec,
+    t: SimTime,
+    timeline: &[SimTime],
+    dark_servers: usize,
+) -> RecoverySimReport {
+    let mut last = t + SimTime::from_ms(spec.control_plane_ms);
+    for ready in timeline {
+        last = last.max(*ready);
+    }
+    RecoverySimReport {
+        started_ms: t.as_ms(),
+        latency_ms: last.since(t).as_ms(),
+        dark_servers,
+        reflashes_done: spec.ops.iter().filter(|o| o.reflash && !o.prepared).count(),
+        copied_gib: spec.pending_copy_gib(),
+        precopied_gib: spec.prepared_gib(),
+    }
+}
+
 /// Span duration in µs between two booked instants (monotone by
 /// construction of [`SerialResource::acquire`]).
 #[inline]
@@ -585,1407 +642,1432 @@ fn spec_dur(start: SimTime, done: SimTime) -> u64 {
     done.micros().saturating_sub(start.micros())
 }
 
-/// Run the serving simulation for `deployment` under `specs`' offered load.
-///
-/// Fully deterministic for a given `config.seed`. Each service is offered
-/// one purely local ingress class at its spec rate.
-#[must_use]
-#[deprecated(
-    since = "0.2.0",
-    note = "use serve::Simulation::new(deployment, specs).config(config).run()"
-)]
-pub fn simulate(
-    deployment: &Deployment,
-    specs: &[ServiceSpec],
-    config: &ServingConfig,
-) -> ServingReport {
-    crate::Simulation::new(deployment, specs)
-        .config(config)
-        .run()
-}
-
 /// Salt mixed into the arrival stream seed of ingress classes ≥ 1 so every
 /// class has an independent sample path. Class 0 uses the raw seed, which
-/// keeps single-class runs bit-identical to [`simulate`] from before
-/// ingress classes existed.
-pub(crate) fn class_seed(seed: u64, class: usize) -> u64 {
+/// keeps single-class runs bit-identical to runs from before ingress
+/// classes existed.
+fn class_seed(seed: u64, class: usize) -> u64 {
     seed ^ (class as u64).wrapping_mul(0xA076_1D64_78BD_642F)
 }
 
-/// Run the serving simulation with explicit per-service ingress classes.
-///
-/// `ingress[i]` lists the arrival classes of `specs[i]`; when `ingress` is
-/// empty (or shorter than `specs`) the missing services fall back to one
-/// local class at the spec's rate. A class's `network_ms` is added to every
-/// one of its requests' measured latency and charged against the service
-/// SLO — the RTT term of cross-region serving. Per-class outcomes land in
-/// [`ServingReport::classes`].
-///
-/// Fully deterministic for a given `config.seed`.
-#[must_use]
-#[deprecated(
-    since = "0.2.0",
-    note = "use serve::Simulation::new(deployment, specs).ingress(ingress).config(config).run()"
-)]
-pub fn simulate_with_ingress(
-    deployment: &Deployment,
-    specs: &[ServiceSpec],
-    ingress: &[Vec<IngressClass>],
-    config: &ServingConfig,
-) -> ServingReport {
-    crate::Simulation::new(deployment, specs)
-        .ingress(ingress)
-        .config(config)
-        .run()
+/// `secs` as a window bound: bounds past the clock's range never arrive
+/// (a `duration_s` of `f64::MAX` keeps the measurement window open).
+fn window_bound(secs: f64) -> SimTime {
+    if secs * 1e6 < u64::MAX as f64 {
+        SimTime::from_secs(secs)
+    } else {
+        SimTime(u64::MAX)
+    }
 }
 
-/// Launch one batch of `size` on `server` (caller checked feasibility).
+/// The serving engine: one serializable state machine behind every
+/// serving surface.
 ///
-/// With a resilience policy, launching is the **commit point** of every
-/// drafted request: its epoch bumps (pending timeout/hedge events go
-/// stale) and, for hedged requests, first-wins cancellation pulls the twin
-/// copy out of the other server's queue — exactly one copy ever executes.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn launch<S: TraceSink>(
-    q: &mut CalendarQueue,
-    servers: &mut [Server],
-    slab: &mut Vec<Vec<(SimTime, u32)>>,
-    slab_comp: &mut Vec<u64>,
-    free: &mut Vec<u32>,
-    server: usize,
-    size: u32,
-    res: &mut Option<ResState>,
-    specs: &[ServiceSpec],
-    win: (SimTime, SimTime),
-    sink: &mut S,
-) {
-    let id = free.pop().unwrap_or_else(|| {
-        slab.push(Vec::new());
-        slab_comp.push(0);
-        (slab.len() - 1) as u32
-    });
-    let batch = &mut slab[id as usize];
-    batch.clear();
-    batch.extend(servers[server].queue.drain(..size as usize));
-    if let Some(rs) = res.as_mut() {
-        let service = servers[server].service;
-        for &(_, rid) in &slab[id as usize] {
-            let r = &mut rs.reqs[rid as usize];
-            r.epoch = r.epoch.wrapping_add(1);
-            let hedge_server = r.hedge_server;
-            let primary = r.server as usize;
-            r.hedge_server = -1;
-            r.server = server as u32;
-            if hedge_server >= 0 {
-                // First-wins: cancel whichever copy is still queued.
-                let hedge_won = hedge_server as usize == server;
-                let twin = if hedge_won {
-                    primary
-                } else {
-                    hedge_server as usize
-                };
-                remove_rid(&mut servers[twin].queue, rid);
-                if hedge_won {
-                    let now = q.now();
-                    if now >= win.0 && now < win.1 {
-                        rs.hedge_wins[service] += 1;
+/// [`Simulation::run`](crate::Simulation::run) builds it, advances it to
+/// the end of the measurement window and reports under the
+/// warm-up/window/drain discipline; the `parvad` daemon builds it with a
+/// window that never closes (every request counts) and advances it one
+/// epoch at a time, reconfiguring the live fabric in between. Both drive
+/// the same event loop ([`Engine::advance_to`]): an epoch boundary is a
+/// time bound on that loop, not an event in the queue, so a run advanced
+/// in any number of steps is byte-identical to one advanced at once.
+///
+/// The loop is allocation-free in steady state: events ride a
+/// [`CalendarQueue`] as packed 128-bit keys, batch membership lives in a
+/// recycled slab, per-(service, class) accounting is flat and contiguous,
+/// and per-server batch timings are memoized. Every handler is generic over
+/// the trace sink: with [`parva_obs::NullSink`] every instrumentation
+/// branch is `if false` and monomorphizes away; a recording sink collects
+/// request/batch/recovery spans and per-tick gauges without perturbing a
+/// single simulation decision.
+///
+/// The whole state round-trips through `serde` (caches excepted: batch
+/// timing memos refill on first use), so a run suspended between two
+/// advances resumes bit-identically.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Engine {
+    specs: Vec<ServiceSpec>,
+    tenants: Vec<Tenant>,
+    seed: u64,
+    /// The configured arrival process (services added later inherit it).
+    arrivals: ArrivalProcess,
+    /// Per-service arrival process (the configured default unless an
+    /// override targets the service).
+    svc_proc: Vec<ArrivalProcess>,
+    /// Every service draws memoryless arrivals: the hot loop then draws
+    /// gaps straight from the class stream (identical draw to `next_gap`).
+    poisson: bool,
+    /// Flat per-(service, class) layout: entries of service `i` live at
+    /// `cbase[i] .. cbase[i + 1]` in every class-indexed array below.
+    cbase: Vec<usize>,
+    /// Configured class rates, before any demand multiplier.
+    class_base_rps: Vec<f64>,
+    class_rate: Vec<f64>,
+    class_net: Vec<f64>,
+    servers: Vec<Server>,
+    /// Per service: the server behind each router slot.
+    svc_servers: Vec<Vec<usize>>,
+    routers: Vec<Option<Router>>,
+    /// Per service: index of its tenant in `tenants` (`None` untenanted).
+    svc_tenant: Vec<Option<usize>>,
+    /// One admission bucket per limited tenant, shared across the tenant's
+    /// services — the quota is a tenant-wide contract.
+    quota: Vec<Option<TokenBucket>>,
+    /// The resilience layer, strictly inert (`None`) without a non-inert
+    /// policy: every code path is then the pre-resilience one, bit-exactly.
+    res: Option<ResState>,
+    /// One arrival stream per (service, class); class 0 reuses the exact
+    /// pre-ingress stream derivation for backwards-identical sample paths.
+    arrival_rng: Vec<RngStream>,
+    /// MMPP phase state per service, shared across its classes (one demand
+    /// process, several ingress paths), on separate RNG streams so flipping
+    /// the arrival process does not perturb the arrival sample path.
+    bursting: Vec<bool>,
+    phase_until: Vec<SimTime>,
+    phase_rng: Vec<RngStream>,
+    // In-window accounting per service, plus flat per-(service, class)
+    // accounting — class rows of single-class services provably equal
+    // their service rows, so the hot loop keeps only the service row and
+    // the report derives the class row.
+    offered: Vec<u64>,
+    completed: Vec<u64>,
+    batches: Vec<u64>,
+    violated: Vec<u64>,
+    within_slo: Vec<u64>,
+    rejected: Vec<u64>,
+    latency: Vec<LatencyHistogram>,
+    class_offered: Vec<u64>,
+    class_completed: Vec<u64>,
+    class_within: Vec<u64>,
+    /// `None` for the classes of single-class services.
+    class_latency: Vec<Option<LatencyHistogram>>,
+    pub(crate) q: CalendarQueue,
+    /// The recycled batch slab and the ids open for reuse — steady-state
+    /// launches allocate nothing.
+    slab: Vec<Batch>,
+    free: Vec<u32>,
+    /// The recovery work riding the queue (the last one begun).
+    recovery: Option<RecoverySpec>,
+    /// When that recovery began and how many servers it darkened; its
+    /// report is derived from these at report time.
+    rec_begun: Option<(SimTime, usize)>,
+    pub(crate) win_start: SimTime,
+    pub(crate) win_end: SimTime,
+    sim_end: SimTime,
+    duration_s: f64,
+    /// Bumped by every [`Engine::reconfigure`].
+    generation: u32,
+    epoch: u64,
+    /// Cumulative `(offered, completed, within_slo)` per service at the
+    /// last epoch boundary.
+    epoch_mark: Vec<[u64; 3]>,
+    last_epoch: Vec<EpochObservation>,
+}
+
+impl Engine {
+    /// Build the engine for a configured [`Simulation`], every first arrival
+    /// (and the recovery begin, if any) scheduled.
+    pub(crate) fn new(sim: &Simulation<'_>) -> Self {
+        let config = &sim.config;
+        let mut eng = Self {
+            specs: Vec::new(),
+            tenants: sim.tenants.to_vec(),
+            seed: config.seed,
+            arrivals: config.arrivals,
+            svc_proc: Vec::new(),
+            poisson: true,
+            cbase: vec![0],
+            class_base_rps: Vec::new(),
+            class_rate: Vec::new(),
+            class_net: Vec::new(),
+            servers: Vec::new(),
+            svc_servers: Vec::new(),
+            routers: Vec::new(),
+            svc_tenant: Vec::new(),
+            quota: sim
+                .tenants
+                .iter()
+                .map(|t| t.is_limited().then(|| TokenBucket::new(t.quota_rps)))
+                .collect(),
+            // An inert spec (all mechanisms disabled) is normalized to None.
+            res: sim
+                .resilience
+                .filter(|r| !r.is_inert())
+                .map(|r| ResState::new(*r, config.seed)),
+            arrival_rng: Vec::new(),
+            bursting: Vec::new(),
+            phase_until: Vec::new(),
+            phase_rng: Vec::new(),
+            offered: Vec::new(),
+            completed: Vec::new(),
+            batches: Vec::new(),
+            violated: Vec::new(),
+            within_slo: Vec::new(),
+            rejected: Vec::new(),
+            latency: Vec::new(),
+            class_offered: Vec::new(),
+            class_completed: Vec::new(),
+            class_within: Vec::new(),
+            class_latency: Vec::new(),
+            q: CalendarQueue::with_capacity(128),
+            slab: Vec::new(),
+            free: Vec::new(),
+            // `None`/empty specs schedule nothing, keeping the plain path
+            // bit-identical.
+            recovery: sim.recovery.filter(|r| !r.is_empty()).cloned(),
+            rec_begun: None,
+            win_start: window_bound(config.warmup_s),
+            win_end: window_bound(config.warmup_s + config.duration_s),
+            sim_end: window_bound(config.warmup_s + config.duration_s + config.drain_s),
+            duration_s: config.duration_s,
+            generation: 0,
+            epoch: 0,
+            epoch_mark: Vec::new(),
+            last_epoch: Vec::new(),
+        };
+        for (i, spec) in sim.specs.iter().enumerate() {
+            let classes = match sim.ingress.get(i) {
+                Some(c) if !c.is_empty() => c.clone(),
+                _ => vec![IngressClass::local(spec.request_rate_rps)],
+            };
+            // The noisy-neighbor axis: one tenant's services can burst
+            // while the rest stay calm.
+            let process = sim
+                .arrival_overrides
+                .get(i)
+                .copied()
+                .flatten()
+                .unwrap_or(config.arrivals);
+            eng.push_service(*spec, &classes, process);
+        }
+        eng.build_fabric(sim.deployment);
+        // Recovery rides the same queue: the capacity loss fires at
+        // `start_ms`; the op timeline is booked when it fires.
+        if let Some(spec) = &eng.recovery {
+            eng.q.schedule(
+                SimTime::from_ms(spec.start_ms),
+                ev(TAG_RECOVERY_BEGIN, 0, 0),
+            );
+        }
+        eng
+    }
+
+    /// Add one service with its ingress classes and arrival process, and
+    /// schedule each live class's first arrival (zero-rate classes never
+    /// generate traffic). Routing to it starts at the next
+    /// [`Engine::build_fabric`].
+    fn push_service(
+        &mut self,
+        spec: ServiceSpec,
+        classes: &[IngressClass],
+        process: ArrivalProcess,
+    ) {
+        let i = self.specs.len();
+        let now = self.q.now();
+        self.specs.push(spec);
+        self.svc_proc.push(process);
+        self.poisson &= matches!(process, ArrivalProcess::Poisson);
+        for (c, class) in classes.iter().enumerate() {
+            self.class_base_rps.push(class.rate_rps);
+            self.class_rate.push(class.rate_rps);
+            self.class_net.push(class.network_ms);
+            self.arrival_rng
+                .push(RngStream::new(class_seed(self.seed, c), u64::from(spec.id)));
+            self.class_offered.push(0);
+            self.class_completed.push(0);
+            self.class_within.push(0);
+            self.class_latency
+                .push((classes.len() > 1).then(LatencyHistogram::new));
+        }
+        self.cbase.push(self.class_rate.len());
+        self.svc_tenant.push(if spec.tenant == 0 {
+            None
+        } else {
+            self.tenants.iter().position(|t| t.id == spec.tenant)
+        });
+        self.bursting.push(false);
+        self.phase_until.push(now);
+        self.phase_rng
+            .push(RngStream::new(self.seed ^ 0x9E37_79B9, u64::from(spec.id)));
+        for counter in [
+            &mut self.offered,
+            &mut self.completed,
+            &mut self.batches,
+            &mut self.violated,
+            &mut self.within_slo,
+            &mut self.rejected,
+        ] {
+            counter.push(0);
+        }
+        self.latency.push(LatencyHistogram::new());
+        self.epoch_mark.push([0; 3]);
+        if let Some(rs) = self.res.as_mut() {
+            rs.push_service();
+        }
+        for (c, class) in classes.iter().enumerate() {
+            if class.rate_rps > 0.0 {
+                let gap = self.next_gap(i, c, now);
+                self.q
+                    .schedule(now + gap, ev(TAG_ARRIVAL, i as u64, c as u64));
+            }
+        }
+    }
+
+    /// (Re)build servers, per-class deadlines and routers from
+    /// `deployment` for the current service list.
+    fn build_fabric(&mut self, deployment: &Deployment) {
+        let (mut servers, weights) = build_servers(deployment, &self.specs);
+        // A class's network term is queueing budget already spent before
+        // the request reached the cluster: its batching deadline shrinks
+        // by the RTT, floored at zero (class 0 keeps the base timeout
+        // bit-exactly).
+        for s in &mut servers {
+            let classes = &self.class_net[self.cbase[s.service]..self.cbase[s.service + 1]];
+            s.class_timeouts = classes
+                .iter()
+                .map(|&net| {
+                    SimTime(
+                        s.batch_timeout
+                            .micros()
+                            .saturating_sub(SimTime::from_ms(net).micros()),
+                    )
+                })
+                .collect();
+        }
+        self.servers = servers;
+        self.svc_servers = weights
+            .iter()
+            .map(|w| w.iter().map(|&(si, _)| si).collect())
+            .collect();
+        self.routers = weights
+            .into_iter()
+            .map(|w| (!w.is_empty()).then(|| Router::new(w.into_iter().map(|(_, t)| t).collect())))
+            .collect();
+    }
+
+    /// Draw the next interarrival gap for class `c` of service `i` as of
+    /// time `now`.
+    #[inline]
+    fn next_gap(&mut self, i: usize, c: usize, now: SimTime) -> SimTime {
+        let flat = self.cbase[i] + c;
+        let rate = self.class_rate[flat];
+        match self.svc_proc[i] {
+            ArrivalProcess::Poisson => self.arrival_rng[flat].exp_interarrival(rate),
+            ArrivalProcess::Deterministic => SimTime::from_secs(1.0 / rate),
+            ArrivalProcess::Mmpp { mean_phase_s, .. } => {
+                while now >= self.phase_until[i] {
+                    self.bursting[i] = !self.bursting[i];
+                    self.phase_until[i] +=
+                        self.phase_rng[i].exp_interarrival(1.0 / mean_phase_s.max(1e-6));
+                }
+                let phase_rate = self.svc_proc[i].phase_rate(rate, self.bursting[i]);
+                self.arrival_rng[flat].exp_interarrival(phase_rate)
+            }
+        }
+    }
+
+    /// Is `t` inside the measurement window?
+    #[inline]
+    fn in_window(&self, t: SimTime) -> bool {
+        t >= self.win_start && t < self.win_end
+    }
+
+    /// Handle every event due at or before `until`, then move the clock to
+    /// `until`. Gauge boundaries the clock crosses are sampled (capped at
+    /// the window's end), each from the state after every event up to it.
+    pub fn advance_to<S: TraceSink>(&mut self, until: SimTime, sink: &mut S) {
+        while let Some((t, payload)) = self.q.pop_until(until) {
+            if S::ENABLED {
+                // State as of strictly before `t`.
+                while sink.next_sample_us() < t.micros()
+                    && sink.next_sample_us() <= self.win_end.micros()
+                {
+                    self.sample_gauges(sink, sink.next_sample_us());
+                }
+            }
+            let a = ((payload >> A_SHIFT) & A_MASK) as usize;
+            let b = (payload & B_MASK) as usize;
+            match payload >> TAG_SHIFT {
+                TAG_ARRIVAL => self.on_arrival(t, a, b, payload, sink),
+                TAG_DONE => self.on_done(t, a, b, sink),
+                TAG_DEADLINE => {
+                    // Stale deadlines (batch already launched) fall through
+                    // harmlessly: try_start re-evaluates the queue state.
+                    if a as u64 == u64::from(self.generation) & A_MASK {
+                        self.try_start(b, sink);
+                    }
+                }
+                TAG_RECOVERY_BEGIN | TAG_GPU_RECOVERED
+                    if b as u64 != u64::from(self.generation) & B_MASK => {}
+                TAG_RECOVERY_BEGIN => self.begin_recovery(t, sink),
+                TAG_GPU_RECOVERED => self.on_gpu_recovered(t, a, sink),
+                TAG_TIMEOUT => self.on_timeout(t, a, b, sink),
+                TAG_RETRY => self.on_retry(t, a, b, sink),
+                TAG_HEDGE => self.on_hedge(t, a, b, sink),
+                _ => unreachable!("unknown event tag"),
+            }
+        }
+        self.q.skip_to(until);
+        if S::ENABLED {
+            let last = until.min(self.win_end).micros();
+            while sink.next_sample_us() <= last {
+                self.sample_gauges(sink, sink.next_sample_us());
+            }
+        }
+    }
+
+    #[inline]
+    fn on_arrival<S: TraceSink>(
+        &mut self,
+        t: SimTime,
+        service: usize,
+        class: usize,
+        payload: u64,
+        sink: &mut S,
+    ) {
+        // Schedule the next arrival while load generation is on.
+        let flat = self.cbase[service] + class;
+        let next = if self.poisson {
+            t + self.arrival_rng[flat].exp_interarrival(self.class_rate[flat])
+        } else {
+            t + self.next_gap(service, class, t)
+        };
+        if next < self.win_end {
+            self.q.schedule(next, payload);
+        }
+        let in_window = self.in_window(t);
+        if in_window {
+            self.offered[service] += 1;
+            if self.cbase[service + 1] - self.cbase[service] > 1 {
+                self.class_offered[flat] += 1;
+            }
+        }
+        // Per-tenant admission quota: an over-quota request is rejected
+        // and reported, never silently queued — it still counts as
+        // offered, lands in the rejection counters, and leaves a traced
+        // arrival so `trace audit` can recount per-tenant attainment.
+        if let Some(ti) = self.svc_tenant[service] {
+            if let Some(bucket) = self.quota[ti].as_mut() {
+                if !bucket.admit(t) {
+                    if in_window {
+                        self.rejected[service] += 1;
                     }
                     if S::ENABLED {
                         sink.emit(
-                            TraceEvent::instant("hedge-win", "resilience", now.micros())
+                            TraceEvent::instant("arrival", "request", t.micros())
                                 .pid(PID_SERVE)
-                                .tid(server as u32)
-                                .arg_u64("service", u64::from(specs[service].id)),
+                                .tid(0)
+                                .arg_u64("service", u64::from(self.specs[service].id))
+                                .arg_u64("class", class as u64)
+                                .arg_u64("tenant", u64::from(self.specs[service].tenant))
+                                .arg_bool("rejected", true),
                         );
+                    }
+                    return;
+                }
+            }
+        }
+        let Some(router) = self.routers[service].as_mut() else {
+            return;
+        };
+        let sidx = self.svc_servers[service][router.route()];
+        if S::ENABLED {
+            let mut arrival = TraceEvent::instant("arrival", "request", t.micros())
+                .pid(PID_SERVE)
+                .tid(sidx as u32)
+                .arg_u64("service", u64::from(self.specs[service].id))
+                .arg_u64("class", class as u64);
+            if !self.tenants.is_empty() {
+                arrival = arrival.arg_u64("tenant", u64::from(self.specs[service].tenant));
+            }
+            sink.emit(arrival);
+        }
+        // Queue-depth load shedding: an arrival routed to a server already
+        // holding `shed_queue_depth` requests is dropped (counted as
+        // offered, never served) — bounded queues instead of unbounded
+        // latency.
+        if let Some(rs) = self.res.as_mut() {
+            let depth = rs.spec.shed_queue_depth as usize;
+            if depth > 0 && self.servers[sidx].queue.len() >= depth {
+                if in_window {
+                    rs.shed[service] += 1;
+                }
+                if S::ENABLED {
+                    sink.emit(
+                        TraceEvent::instant("shed", "resilience", t.micros())
+                            .pid(PID_SERVE)
+                            .tid(sidx as u32)
+                            .arg_u64("service", u64::from(self.specs[service].id)),
+                    );
+                }
+                return;
+            }
+        }
+        let entry = match self.res.as_mut().filter(|rs| rs.tracked) {
+            Some(rs) => {
+                let rid = rs.alloc(service as u32, class as u32, t, sidx as u32);
+                let epoch = u64::from(rs.reqs[rid as usize].epoch) & B_MASK;
+                if rs.spec.timeout_ms > 0.0 {
+                    let fire = t + rs.attempt_timeout(self.class_net[flat]);
+                    // Events past the window can never be observed (the
+                    // loop stops there) — skip booking them at all.
+                    if fire <= self.win_end {
+                        self.q
+                            .schedule(fire, ev(TAG_TIMEOUT, u64::from(rid), epoch));
+                    }
+                }
+                if rs.spec.hedge_quantile > 0.0 {
+                    let fire = t + hedge_delay(
+                        &self.latency[service],
+                        &self.specs[service],
+                        rs.spec.hedge_quantile,
+                    );
+                    if fire <= self.win_end {
+                        self.q.schedule(fire, ev(TAG_HEDGE, u64::from(rid), epoch));
+                    }
+                }
+                (t, rid)
+            }
+            None => (t, class as u32),
+        };
+        self.servers[sidx].queue.push_back(entry);
+        self.try_start(sidx, sink);
+    }
+
+    #[inline]
+    fn on_done<S: TraceSink>(&mut self, t: SimTime, batch_id: usize, server: usize, sink: &mut S) {
+        let batch = &self.slab[batch_id];
+        let (service, comp_us) = (batch.service as usize, batch.comp_us);
+        let current = batch.generation == self.generation;
+        if current {
+            self.servers[server].busy -= 1;
+        }
+        let in_window = self.in_window(t);
+        let tracked = self.res.as_ref().filter(|rs| rs.tracked);
+        let base = self.cbase[service];
+        if S::ENABLED {
+            // One request-lifecycle span per member: arrival → completion,
+            // tagged ok/miss against the SLO (network RTT included, exactly
+            // as accounted). With request identity the span runs from the
+            // request's *first* arrival — retried attempts pay for the
+            // time their failed predecessors burned.
+            let slo_ms = self.specs[service].slo.latency_ms;
+            for &(enq, x) in &self.slab[batch_id].members {
+                let (arrived, class) = match tracked {
+                    Some(rs) => {
+                        let r = &rs.reqs[x as usize];
+                        (r.first_arrival, r.class)
+                    }
+                    None => (enq, x),
+                };
+                let lat_ms = t.since(arrived).as_ms() + self.class_net[base + class as usize];
+                let mut span =
+                    TraceEvent::span("request", "request", arrived.micros(), spec_dur(arrived, t))
+                        .pid(PID_SERVE)
+                        .tid(server as u32)
+                        .arg_u64("service", u64::from(self.specs[service].id))
+                        .arg_u64("class", u64::from(class))
+                        .arg_f64("latency_ms", lat_ms)
+                        .arg_bool("ok", lat_ms <= slo_ms);
+                if !self.tenants.is_empty() {
+                    span = span.arg_u64("tenant", u64::from(self.specs[service].tenant));
+                }
+                sink.emit(span);
+            }
+        }
+        if in_window {
+            if current {
+                self.servers[server].busy_comp_us += comp_us;
+            }
+            self.batches[service] += 1;
+            let slo_ms = self.specs[service].slo.latency_ms;
+            let single_class = self.cbase[service + 1] - base == 1;
+            let hist = &mut self.latency[service];
+            let mut done_n = 0u64;
+            let mut ok_n = 0u64;
+            let mut worst = 0.0f64;
+            for &(enq, x) in &self.slab[batch_id].members {
+                let (arrived, class) = match tracked {
+                    Some(rs) => {
+                        let r = &rs.reqs[x as usize];
+                        (r.first_arrival, r.class)
+                    }
+                    None => (enq, x),
+                };
+                let c = base + class as usize;
+                // The RTT term: network latency already spent by this
+                // ingress class counts against the SLO.
+                let lat_ms = t.since(arrived).as_ms() + self.class_net[c];
+                hist.record_ms(lat_ms);
+                worst = worst.max(lat_ms);
+                done_n += 1;
+                let ok = lat_ms <= slo_ms;
+                ok_n += u64::from(ok);
+                if !single_class {
+                    if let Some(h) = self.class_latency[c].as_mut() {
+                        h.record_ms(lat_ms);
+                    }
+                    self.class_completed[c] += 1;
+                    if ok {
+                        self.class_within[c] += 1;
+                    }
+                }
+            }
+            self.completed[service] += done_n;
+            self.within_slo[service] += ok_n;
+            if worst > slo_ms {
+                self.violated[service] += 1;
+            }
+        }
+        let batch = &mut self.slab[batch_id];
+        if let Some(rs) = self.res.as_mut().filter(|rs| rs.tracked) {
+            // Completed requests retire: the epoch bump stales any
+            // straggler timeout/hedge events, the id recycles.
+            for &(_, rid) in &batch.members {
+                rs.free_req(rid);
+            }
+        }
+        batch.members.clear();
+        self.free.push(batch_id as u32);
+        if current {
+            self.try_start(server, sink);
+        }
+    }
+
+    /// Adaptive batching: launch full batches eagerly; for a partial queue,
+    /// launch once the head request's deadline expires, else arm a
+    /// deadline. Dark servers (recovery outstanding on their GPU) launch
+    /// nothing — their queues drain when the GPU's recovery op completes.
+    #[inline]
+    fn try_start<S: TraceSink>(&mut self, server: usize, sink: &mut S) {
+        loop {
+            let s = &self.servers[server];
+            if s.dark || s.busy >= s.procs {
+                return;
+            }
+            let queued = s.queue.len();
+            let full = s.batch;
+            if queued >= full as usize {
+                self.launch(server, full, sink);
+                continue;
+            }
+            if queued == 0 {
+                return;
+            }
+            let (head, x) = *s.queue.front().expect("non-empty");
+            // Queue entries carry the ingress class directly, or (with
+            // request identity) a request id the class is looked up through.
+            let class = match self.res.as_ref().filter(|rs| rs.tracked) {
+                Some(rs) => rs.reqs[x as usize].class,
+                None => x,
+            };
+            let timeout = s
+                .class_timeouts
+                .get(class as usize)
+                .copied()
+                .unwrap_or(s.batch_timeout);
+            let deadline = head + timeout;
+            if self.q.now() >= deadline {
+                let size = (queued as u32).min(full);
+                self.launch(server, size, sink);
+            } else {
+                let generation = u64::from(self.generation) & A_MASK;
+                self.q
+                    .schedule(deadline, ev(TAG_DEADLINE, generation, server as u64));
+            }
+            return;
+        }
+    }
+
+    /// Launch one batch of `size` on `server` (caller checked feasibility).
+    ///
+    /// With request identity, launching is the **commit point** of every
+    /// drafted request: its epoch bumps (pending timeout/hedge events go
+    /// stale) and, for hedged requests, first-wins cancellation pulls the
+    /// twin copy out of the other server's queue — exactly one copy ever
+    /// executes.
+    #[inline]
+    fn launch<S: TraceSink>(&mut self, server: usize, size: u32, sink: &mut S) {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Batch::default());
+            (self.slab.len() - 1) as u32
+        }) as usize;
+        let service = self.servers[server].service;
+        self.slab[id]
+            .members
+            .extend(self.servers[server].queue.drain(..size as usize));
+        if let Some(rs) = self.res.as_mut().filter(|rs| rs.tracked) {
+            for &(_, rid) in &self.slab[id].members {
+                let r = &mut rs.reqs[rid as usize];
+                r.epoch = r.epoch.wrapping_add(1);
+                let hedge_server = r.hedge_server;
+                let primary = r.server as usize;
+                r.hedge_server = -1;
+                r.server = server as u32;
+                if hedge_server >= 0 {
+                    // First-wins: cancel whichever copy is still queued.
+                    let hedge_won = hedge_server as usize == server;
+                    let twin = if hedge_won {
+                        primary
+                    } else {
+                        hedge_server as usize
+                    };
+                    remove_rid(&mut self.servers[twin].queue, rid);
+                    if hedge_won {
+                        let now = self.q.now();
+                        if now >= self.win_start && now < self.win_end {
+                            rs.hedge_wins[service] += 1;
+                        }
+                        if S::ENABLED {
+                            sink.emit(
+                                TraceEvent::instant("hedge-win", "resilience", now.micros())
+                                    .pid(PID_SERVE)
+                                    .tid(server as u32)
+                                    .arg_u64("service", u64::from(self.specs[service].id)),
+                            );
+                        }
                     }
                 }
             }
         }
-    }
-    servers[server].busy += 1;
-    let n_busy = servers[server].busy;
-    let (cycle, comp_us) = batch_times_memo(servers, server, size, n_busy);
-    slab_comp[id as usize] = comp_us;
-    if S::ENABLED {
-        let now = q.now();
-        // Batch formation: from the oldest member's arrival to launch.
-        let head = slab[id as usize]
-            .iter()
-            .map(|&(t, _)| t)
-            .min()
-            .unwrap_or(now);
-        let service = servers[server].service as u64;
-        sink.emit(
-            TraceEvent::span("batch-form", "batch", head.micros(), spec_dur(head, now))
-                .pid(PID_SERVE)
-                .tid(server as u32)
-                .arg_u64("service", service)
-                .arg_u64("size", u64::from(size)),
-        );
-        sink.emit(
-            TraceEvent::span("execute", "batch", now.micros(), cycle.micros())
-                .pid(PID_SERVE)
-                .tid(server as u32)
-                .arg_u64("service", service)
-                .arg_u64("size", u64::from(size))
-                .arg_u64("n_busy", u64::from(n_busy)),
-        );
-    }
-    q.schedule_in(cycle, ev(TAG_DONE, u64::from(id), server as u64));
-}
-
-/// Adaptive batching: launch full batches eagerly; for a partial queue,
-/// launch once the head request's deadline expires, else arm a deadline.
-/// Dark servers (recovery outstanding on their GPU) launch nothing —
-/// their queues drain when the GPU's recovery op completes.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn try_start<S: TraceSink>(
-    q: &mut CalendarQueue,
-    servers: &mut [Server],
-    slab: &mut Vec<Vec<(SimTime, u32)>>,
-    slab_comp: &mut Vec<u64>,
-    free: &mut Vec<u32>,
-    server: usize,
-    res: &mut Option<ResState>,
-    specs: &[ServiceSpec],
-    win: (SimTime, SimTime),
-    sink: &mut S,
-) {
-    loop {
-        let s = &servers[server];
-        if s.dark || s.busy >= s.procs {
-            return;
-        }
-        let queued = s.queue.len();
-        let full = s.batch;
-        if queued >= full as usize {
-            launch(
-                q, servers, slab, slab_comp, free, server, full, res, specs, win, sink,
+        let s = &mut self.servers[server];
+        s.busy += 1;
+        let n_busy = s.busy;
+        let (cycle, comp_us) = s.batch_times(size, n_busy);
+        let batch = &mut self.slab[id];
+        batch.comp_us = comp_us;
+        batch.service = service as u32;
+        batch.generation = self.generation;
+        if S::ENABLED {
+            let now = self.q.now();
+            // Batch formation: from the oldest member's arrival to launch.
+            let head = batch.members.iter().map(|&(t, _)| t).min().unwrap_or(now);
+            sink.emit(
+                TraceEvent::span("batch-form", "batch", head.micros(), spec_dur(head, now))
+                    .pid(PID_SERVE)
+                    .tid(server as u32)
+                    .arg_u64("service", service as u64)
+                    .arg_u64("size", u64::from(size)),
             );
-            continue;
-        }
-        if queued == 0 {
-            return;
-        }
-        let (head, x) = *s.queue.front().expect("non-empty");
-        // Queue entries carry the ingress class directly, or (with a
-        // resilience policy) a request id the class is looked up through.
-        let class = match res.as_ref() {
-            Some(rs) => rs.reqs[x as usize].class,
-            None => x,
-        };
-        let timeout = s
-            .class_timeouts
-            .get(class as usize)
-            .copied()
-            .unwrap_or(s.batch_timeout);
-        let deadline = head + timeout;
-        if q.now() >= deadline {
-            let size = (queued as u32).min(full);
-            launch(
-                q, servers, slab, slab_comp, free, server, size, res, specs, win, sink,
+            sink.emit(
+                TraceEvent::span("execute", "batch", now.micros(), cycle.micros())
+                    .pid(PID_SERVE)
+                    .tid(server as u32)
+                    .arg_u64("service", service as u64)
+                    .arg_u64("size", u64::from(size))
+                    .arg_u64("n_busy", u64::from(n_busy)),
             );
-        } else {
-            q.schedule(deadline, ev(TAG_DEADLINE, 0, server as u64));
         }
-        return;
+        self.q
+            .schedule_in(cycle, ev(TAG_DONE, id as u64, server as u64));
     }
-}
 
-/// Run the serving simulation with recovery work riding the same event
-/// queue as the traffic.
-///
-/// `recovery` lowers a fleet migration into simulator events: at
-/// [`RecoverySpec::start_ms`] the affected servers go **dark** (requests
-/// keep arriving and queueing, batches stop launching), the control plane
-/// reacts, MIG re-flashes serialize per node, and weight copies queue FIFO
-/// on each node's PCIe link. Servers light back up as their GPU's op
-/// completes, so the disruption-window compliance dip and the end-to-end
-/// recovery latency are *measured* outcomes of the DES
-/// ([`ServingReport::recovery`]), not closed-form estimates. `None` (or an
-/// empty spec) is bit-identical to a recovery-free run.
-///
-/// Fully deterministic for a given `config.seed`.
-#[must_use]
-#[deprecated(
-    since = "0.2.0",
-    note = "use serve::Simulation::new(deployment, specs).ingress(ingress)\
-            .recovery_opt(recovery).config(config).run()"
-)]
-pub fn simulate_with_recovery(
-    deployment: &Deployment,
-    specs: &[ServiceSpec],
-    ingress: &[Vec<IngressClass>],
-    recovery: Option<&RecoverySpec>,
-    config: &ServingConfig,
-) -> ServingReport {
-    crate::Simulation::new(deployment, specs)
-        .ingress(ingress)
-        .recovery_opt(recovery)
-        .config(config)
-        .run()
-}
+    /// Flip one server's health bit in its service's router.
+    fn set_health(&mut self, si: usize, healthy: bool) {
+        let service = self.servers[si].service;
+        let slot = self.svc_servers[service].iter().position(|&x| x == si);
+        if let (Some(slot), Some(router)) = (slot, self.routers[service].as_mut()) {
+            router.set_healthy(slot, healthy);
+        }
+    }
 
-/// Deliver the gauge rows for one sampling boundary: an aggregate
-/// `tick` row (queue depth, in-flight batches, GPU busy fraction, dark
-/// servers) followed by one `service` row per service with its
-/// cumulative in-window SLO attainment, and — only when tenants are
-/// configured — a `tenant` column on the service rows plus one `tenant`
-/// row per tenant with its admission/attainment rollup. All values derive
-/// from simulation state only, so sampled series are byte-identical
-/// across runs, and tenant-free runs emit rows byte-identical to the
-/// pre-tenant schema.
-#[allow(clippy::too_many_arguments)]
-fn sample_serve_gauges<S: TraceSink>(
-    sink: &mut S,
-    ts_us: u64,
-    servers: &[Server],
-    specs: &[ServiceSpec],
-    tenants: &[Tenant],
-    offered: &[u64],
-    completed: &[u64],
-    within_slo: &[u64],
-    rejected: &[u64],
-    res: Option<&ResState>,
-) {
-    let t_ms = ts_us as f64 / 1_000.0;
-    let mut queue_depth = 0u64;
-    let mut inflight = 0u64;
-    let mut busy_procs = 0u64;
-    let mut total_procs = 0u64;
-    let mut dark = 0u64;
-    for s in servers {
-        queue_depth += s.queue.len() as u64;
-        inflight += u64::from(s.busy);
-        busy_procs += u64::from(s.busy);
-        total_procs += u64::from(s.procs);
-        dark += u64::from(s.dark);
-    }
-    let all_completed: u64 = completed.iter().sum();
-    let all_within: u64 = within_slo.iter().sum();
-    let attainment = |within: u64, done: u64| {
-        if done == 0 {
-            1.0
-        } else {
-            within as f64 / done as f64
-        }
-    };
-    let mut tick = Row::new()
-        .str("kind", "tick")
-        .f64("t_ms", t_ms)
-        .u64("queue_depth", queue_depth)
-        .u64("inflight_batches", inflight)
-        .f64(
-            "gpu_busy_frac",
-            if total_procs == 0 {
-                0.0
-            } else {
-                busy_procs as f64 / total_procs as f64
-            },
-        )
-        .u64("dark_servers", dark)
-        .u64("offered", offered.iter().sum())
-        .u64("completed", all_completed)
-        .u64("within_slo", all_within)
-        .f64("slo_attainment", attainment(all_within, all_completed));
-    // Resilience columns ride the tick row only when a policy is active,
-    // so resilience-free runs keep the pre-resilience gauge schema
-    // byte-exactly. Values are cumulative in-window counts, like the
-    // offered/completed columns beside them.
-    if let Some(rs) = res {
-        tick = tick
-            .u64("timeouts", rs.timeouts.iter().sum())
-            .u64("retries", rs.retries.iter().sum())
-            .u64("shed", rs.shed.iter().sum())
-            .u64("hedges", rs.hedges.iter().sum())
-            .u64("hedge_wins", rs.hedge_wins.iter().sum());
-    }
-    sink.sample(tick);
-    let has_tenants = !tenants.is_empty();
-    for (i, spec) in specs.iter().enumerate() {
-        let mut row = Row::new()
-            .str("kind", "service")
-            .f64("t_ms", t_ms)
-            .u64("service", u64::from(spec.id))
-            .u64("offered", offered[i])
-            .u64("completed", completed[i])
-            .u64("within_slo", within_slo[i])
-            .f64("slo_attainment", attainment(within_slo[i], completed[i]));
-        if has_tenants {
-            row = row.u64("tenant", u64::from(spec.tenant));
-        }
-        sink.sample(row);
-    }
-    if has_tenants {
-        for t in tenants {
-            let mut t_offered = 0u64;
-            let mut t_rejected = 0u64;
-            let mut t_completed = 0u64;
-            let mut t_within = 0u64;
-            for (i, spec) in specs.iter().enumerate() {
-                if spec.tenant == t.id {
-                    t_offered += offered[i];
-                    t_rejected += rejected[i];
-                    t_completed += completed[i];
-                    t_within += within_slo[i];
+    /// The recovery work begins at `t`: servers on every op's GPU go dark
+    /// and the op timeline (per-node serialized re-flashes, FIFO PCIe
+    /// copies) is booked, each op lighting its GPU back up when done.
+    fn begin_recovery<S: TraceSink>(&mut self, t: SimTime, sink: &mut S) {
+        let spec = self.recovery.take().expect("recovery event without a spec");
+        // Health-checked routing: a dark server is drained — new arrivals
+        // go to its healthy siblings instead of queueing on a corpse.
+        let health_checked = self.res.as_ref().is_some_and(|rs| rs.spec.health_checked);
+        let mut dark = 0usize;
+        for op in &spec.ops {
+            let Some(g) = op.logical_gpu else { continue };
+            for si in 0..self.servers.len() {
+                let s = &mut self.servers[si];
+                if s.gpu == g && !s.dark {
+                    s.dark = true;
+                    s.dark_since = t;
+                    dark += 1;
+                    if health_checked {
+                        self.set_health(si, false);
+                    }
                 }
             }
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("recovery-begin", "recovery", t.micros())
+                    .pid(PID_SERVE)
+                    .arg_u64("dark_servers", dark as u64)
+                    .arg_u64("ops", spec.ops.len() as u64),
+            );
+        }
+        let timeline = recovery_timeline(&spec, t, sink);
+        let generation = u64::from(self.generation) & B_MASK;
+        for (i, ready) in timeline.iter().enumerate() {
+            self.q
+                .schedule(*ready, ev(TAG_GPU_RECOVERED, i as u64, generation));
+        }
+        self.rec_begun = Some((t, dark));
+        self.recovery = Some(spec);
+    }
+
+    /// Recovery op `op` finished; light its GPU up.
+    fn on_gpu_recovered<S: TraceSink>(&mut self, t: SimTime, op: usize, sink: &mut S) {
+        let spec = self
+            .recovery
+            .as_ref()
+            .expect("recovery event without a spec");
+        let Some(g) = spec.ops[op].logical_gpu else {
+            return;
+        };
+        let health_checked = self.res.as_ref().is_some_and(|rs| rs.spec.health_checked);
+        for si in 0..self.servers.len() {
+            let s = &mut self.servers[si];
+            if s.gpu != g || !s.dark {
+                continue;
+            }
+            s.dark = false;
+            if S::ENABLED {
+                // Close the server's dark window: capacity was offline
+                // from recovery-begin to now.
+                sink.emit(
+                    TraceEvent::span(
+                        "dark",
+                        "recovery",
+                        s.dark_since.micros(),
+                        spec_dur(s.dark_since, t),
+                    )
+                    .pid(PID_SERVE)
+                    .tid(si as u32)
+                    .arg_u64("gpu", g as u64),
+                );
+                sink.emit(
+                    TraceEvent::instant("live", "recovery", t.micros())
+                        .pid(PID_SERVE)
+                        .tid(si as u32)
+                        .arg_u64("gpu", g as u64),
+                );
+            }
+            // Re-admit to health-checked routing: credit accumulated while
+            // drained, so the recovered server catches up on its fair share.
+            if health_checked {
+                self.set_health(si, true);
+            }
+            self.try_start(si, sink);
+        }
+    }
+
+    /// Attempt timeout: pull the request (and its hedge twin) out of the
+    /// queues, then retry if the attempt cap and the cluster-wide retry
+    /// budget both allow — else give up.
+    fn on_timeout<S: TraceSink>(&mut self, t: SimTime, a: usize, b: usize, sink: &mut S) {
+        let rs = self.res.as_mut().expect("resilience event without state");
+        if !rs.epoch_current(a, b) {
+            return; // already launched / completed / retired
+        }
+        let rid = a as u32;
+        let (service, primary, hedge) = {
+            let r = &rs.reqs[a];
+            (r.service as usize, r.server as usize, r.hedge_server)
+        };
+        remove_rid(&mut self.servers[primary].queue, rid);
+        if hedge >= 0 {
+            remove_rid(&mut self.servers[hedge as usize].queue, rid);
+        }
+        if t >= self.win_start && t < self.win_end {
+            rs.timeouts[service] += 1;
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("timeout", "resilience", t.micros())
+                    .pid(PID_SERVE)
+                    .tid(primary as u32)
+                    .arg_u64("service", u64::from(self.specs[service].id)),
+            );
+        }
+        let attempts = {
+            let r = &mut rs.reqs[a];
+            r.epoch = r.epoch.wrapping_add(1);
+            r.hedge_server = -1;
+            r.attempts
+        };
+        let can_retry = attempts < rs.spec.max_retries;
+        // The budget is only consulted for retries that would actually
+        // happen — a drained bucket is what breaks the metastable feedback
+        // loop under overload.
+        let admitted = can_retry && rs.budget.as_mut().is_none_or(|bk| bk.admit(t));
+        if admitted {
+            let mut delay_ms =
+                rs.spec.backoff_base_ms * rs.spec.backoff_multiplier.powi(attempts as i32);
+            if rs.spec.jitter > 0.0 {
+                // Draw only when configured: zero-jitter runs share the
+                // no-resilience RNG state bit-exactly.
+                delay_ms *= 1.0 + rs.spec.jitter * rs.rng.uniform();
+            }
+            let fire = t + SimTime::from_ms(delay_ms);
+            if fire <= self.win_end {
+                let epoch = u64::from(rs.reqs[a].epoch) & B_MASK;
+                self.q.schedule(fire, ev(TAG_RETRY, u64::from(rid), epoch));
+            } else {
+                rs.free_req(rid);
+            }
+        } else {
+            rs.free_req(rid);
+        }
+    }
+
+    /// Backoff expired: re-route the request as a fresh attempt (sheddable
+    /// like any arrival — a shed retry is a shed, not a retry).
+    fn on_retry<S: TraceSink>(&mut self, t: SimTime, a: usize, b: usize, sink: &mut S) {
+        let Some(rs) = self.res.as_mut() else { return };
+        if !rs.epoch_current(a, b) {
+            return;
+        }
+        let rid = a as u32;
+        let service = rs.reqs[a].service as usize;
+        let Some(router) = self.routers[service].as_mut() else {
+            rs.free_req(rid);
+            return;
+        };
+        let sidx = self.svc_servers[service][router.route()];
+        let depth = rs.spec.shed_queue_depth as usize;
+        if depth > 0 && self.servers[sidx].queue.len() >= depth {
+            if t >= self.win_start && t < self.win_end {
+                rs.shed[service] += 1;
+            }
+            if S::ENABLED {
+                sink.emit(
+                    TraceEvent::instant("shed", "resilience", t.micros())
+                        .pid(PID_SERVE)
+                        .tid(sidx as u32)
+                        .arg_u64("service", u64::from(self.specs[service].id)),
+                );
+            }
+            rs.free_req(rid);
+            return;
+        }
+        {
+            let r = &mut rs.reqs[a];
+            r.attempts += 1;
+            r.server = sidx as u32;
+        }
+        if t >= self.win_start && t < self.win_end {
+            rs.retries[service] += 1;
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("retry", "resilience", t.micros())
+                    .pid(PID_SERVE)
+                    .tid(sidx as u32)
+                    .arg_u64("service", u64::from(self.specs[service].id)),
+            );
+        }
+        // Re-arm the attempt's timeout and hedge against the epoch set at
+        // the timeout that spawned this retry.
+        let epoch = u64::from(rs.reqs[a].epoch) & B_MASK;
+        if rs.spec.timeout_ms > 0.0 {
+            let class = rs.reqs[a].class as usize;
+            let fire = t + rs.attempt_timeout(self.class_net[self.cbase[service] + class]);
+            if fire <= self.win_end {
+                self.q
+                    .schedule(fire, ev(TAG_TIMEOUT, u64::from(rid), epoch));
+            }
+        }
+        if rs.spec.hedge_quantile > 0.0 {
+            let fire = t + hedge_delay(
+                &self.latency[service],
+                &self.specs[service],
+                rs.spec.hedge_quantile,
+            );
+            if fire <= self.win_end {
+                self.q.schedule(fire, ev(TAG_HEDGE, u64::from(rid), epoch));
+            }
+        }
+        self.servers[sidx].queue.push_back((t, rid));
+        self.try_start(sidx, sink);
+    }
+
+    /// Hedge-fire: the attempt outlived the service's p-quantile latency;
+    /// enqueue a second copy on another server. First copy to launch wins;
+    /// `launch` cancels the twin. Epoch discipline guarantees at most one
+    /// pending hedge per attempt.
+    fn on_hedge<S: TraceSink>(&mut self, t: SimTime, a: usize, b: usize, sink: &mut S) {
+        let Some(rs) = self.res.as_mut() else { return };
+        if !rs.epoch_current(a, b) {
+            return;
+        }
+        let rid = a as u32;
+        let (service, primary) = {
+            let r = &rs.reqs[a];
+            (r.service as usize, r.server as usize)
+        };
+        let Some(router) = self.routers[service].as_mut() else {
+            return;
+        };
+        let sidx = self.svc_servers[service][router.route()];
+        if sidx == primary {
+            // No alternative server drawn — nothing to hedge to.
+            return;
+        }
+        let depth = rs.spec.shed_queue_depth as usize;
+        if depth > 0 && self.servers[sidx].queue.len() >= depth {
+            return; // hedges are best-effort: full queue, no copy
+        }
+        rs.reqs[a].hedge_server = sidx as i64;
+        if t >= self.win_start && t < self.win_end {
+            rs.hedges[service] += 1;
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("hedge", "resilience", t.micros())
+                    .pid(PID_SERVE)
+                    .tid(sidx as u32)
+                    .arg_u64("service", u64::from(self.specs[service].id)),
+            );
+        }
+        self.servers[sidx].queue.push_back((t, rid));
+        self.try_start(sidx, sink);
+    }
+
+    /// Deliver the gauge rows for one sampling boundary: an aggregate
+    /// `tick` row (queue depth, in-flight batches, GPU busy fraction, dark
+    /// servers) followed by one `service` row per service with its
+    /// cumulative in-window SLO attainment, and — only when tenants are
+    /// configured — a `tenant` column on the service rows plus one `tenant`
+    /// row per tenant with its admission/attainment rollup. All values
+    /// derive from simulation state only, so sampled series are
+    /// byte-identical across runs, and tenant-free runs emit rows
+    /// byte-identical to the pre-tenant schema.
+    fn sample_gauges<S: TraceSink>(&self, sink: &mut S, ts_us: u64) {
+        let t_ms = ts_us as f64 / 1_000.0;
+        let mut queue_depth = 0u64;
+        let mut busy_procs = 0u64;
+        let mut total_procs = 0u64;
+        let mut dark = 0u64;
+        for s in &self.servers {
+            queue_depth += s.queue.len() as u64;
+            busy_procs += u64::from(s.busy);
+            total_procs += u64::from(s.procs);
+            dark += u64::from(s.dark);
+        }
+        let all_completed: u64 = self.completed.iter().sum();
+        let all_within: u64 = self.within_slo.iter().sum();
+        let attainment = |within: u64, done: u64| {
+            if done == 0 {
+                1.0
+            } else {
+                within as f64 / done as f64
+            }
+        };
+        let mut tick = Row::new()
+            .str("kind", "tick")
+            .f64("t_ms", t_ms)
+            .u64("queue_depth", queue_depth)
+            .u64("inflight_batches", busy_procs)
+            .f64(
+                "gpu_busy_frac",
+                if total_procs == 0 {
+                    0.0
+                } else {
+                    busy_procs as f64 / total_procs as f64
+                },
+            )
+            .u64("dark_servers", dark)
+            .u64("offered", self.offered.iter().sum())
+            .u64("completed", all_completed)
+            .u64("within_slo", all_within)
+            .f64("slo_attainment", attainment(all_within, all_completed));
+        // Resilience columns ride the tick row only when a policy is
+        // active, so resilience-free runs keep the pre-resilience gauge
+        // schema byte-exactly. Values are cumulative in-window counts,
+        // like the offered/completed columns beside them.
+        if let Some(rs) = &self.res {
+            tick = tick
+                .u64("timeouts", rs.timeouts.iter().sum())
+                .u64("retries", rs.retries.iter().sum())
+                .u64("shed", rs.shed.iter().sum())
+                .u64("hedges", rs.hedges.iter().sum())
+                .u64("hedge_wins", rs.hedge_wins.iter().sum());
+        }
+        sink.sample(tick);
+        let has_tenants = !self.tenants.is_empty();
+        for (i, spec) in self.specs.iter().enumerate() {
+            let mut row = Row::new()
+                .str("kind", "service")
+                .f64("t_ms", t_ms)
+                .u64("service", u64::from(spec.id))
+                .u64("offered", self.offered[i])
+                .u64("completed", self.completed[i])
+                .u64("within_slo", self.within_slo[i])
+                .f64(
+                    "slo_attainment",
+                    attainment(self.within_slo[i], self.completed[i]),
+                );
+            if has_tenants {
+                row = row.u64("tenant", u64::from(spec.tenant));
+            }
+            sink.sample(row);
+        }
+        for t in &self.tenants {
+            let [offered, rejected, completed, within] = self.tenant_totals(t.id);
             sink.sample(
                 Row::new()
                     .str("kind", "tenant")
                     .f64("t_ms", t_ms)
                     .u64("tenant", u64::from(t.id))
-                    .u64("offered", t_offered)
-                    .u64("rejected", t_rejected)
-                    .u64("completed", t_completed)
-                    .u64("within_slo", t_within)
-                    .f64("slo_attainment", attainment(t_within, t_completed)),
+                    .u64("offered", offered)
+                    .u64("rejected", rejected)
+                    .u64("completed", completed)
+                    .u64("within_slo", within)
+                    .f64("slo_attainment", attainment(within, completed)),
             );
         }
+        sink.advance_sampler();
     }
-    sink.advance_sampler();
-}
 
-/// The serving engine proper — every public surface ([`crate::Simulation`]
-/// and the deprecated `simulate*` shims) funnels through this one
-/// function, so there is exactly one event loop to optimize and one to
-/// property-test against the frozen reference. Generic over the trace
-/// sink: with [`parva_obs::NullSink`] every instrumentation branch is
-/// `if false` and monomorphizes away, leaving the pre-observability hot
-/// loop; a recording sink collects request/batch/recovery spans and
-/// per-tick gauges without perturbing a single simulation decision.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub(crate) fn run_simulation<S: TraceSink>(
-    deployment: &Deployment,
-    specs: &[ServiceSpec],
-    ingress: &[Vec<IngressClass>],
-    recovery: Option<&RecoverySpec>,
-    tenants: &[Tenant],
-    arrival_overrides: &[Option<ArrivalProcess>],
-    resilience: Option<&ResilienceSpec>,
-    config: &ServingConfig,
-    sink: &mut S,
-) -> ServingReport {
-    let classes: Vec<Vec<IngressClass>> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| match ingress.get(i) {
-            Some(c) if !c.is_empty() => c.clone(),
-            _ => vec![IngressClass::local(s.request_rate_rps)],
-        })
-        .collect();
-    let mut servers = build_servers(deployment, specs);
-    // A class's network term is queueing budget already spent before the
-    // request reached the cluster: its batching deadline shrinks by the
-    // RTT, floored at zero (class 0 keeps the base timeout bit-exactly).
-    for s in &mut servers {
-        s.class_timeouts = classes[s.service]
+    /// `[offered, rejected, completed, within_slo]` summed over a tenant's
+    /// services.
+    fn tenant_totals(&self, tenant: u32) -> [u64; 4] {
+        let mut totals = [0u64; 4];
+        for (i, spec) in self.specs.iter().enumerate() {
+            if spec.tenant == tenant {
+                totals[0] += self.offered[i];
+                totals[1] += self.rejected[i];
+                totals[2] += self.completed[i];
+                totals[3] += self.within_slo[i];
+            }
+        }
+        totals
+    }
+
+    /// The windowed report. Every field is accumulated strictly inside
+    /// `[win_start, win_end)`, so a run advanced to the window's end is
+    /// complete: events in the drain tail cannot influence the report —
+    /// with one exception, a recovery whose begin lands in the tail, which
+    /// is reproduced here exactly as a drained loop would have booked it
+    /// (the recovery report is fully determined at its begin event).
+    #[must_use]
+    pub fn report<S: TraceSink>(mut self, sink: &mut S) -> ServingReport {
+        let recovery = self
+            .recovery
+            .as_ref()
+            .and_then(|spec| match self.rec_begun {
+                Some((t, dark)) => {
+                    let timeline = recovery_timeline(spec, t, &mut parva_obs::NullSink);
+                    Some(recovery_report(spec, t, &timeline, dark))
+                }
+                None => {
+                    let fire = SimTime::from_ms(spec.start_ms);
+                    (fire > self.win_end && fire <= self.sim_end).then(|| {
+                        // No server can already be dark: the one begin event
+                        // is this one.
+                        let dark = self
+                            .servers
+                            .iter()
+                            .filter(|s| spec.ops.iter().any(|op| op.logical_gpu == Some(s.gpu)))
+                            .count();
+                        let timeline = recovery_timeline(spec, fire, sink);
+                        recovery_report(spec, fire, &timeline, dark)
+                    })
+                }
+            });
+
+        let window_us = self.win_end.since(self.win_start).micros() as f64;
+        let server_reports = self
+            .servers
             .iter()
-            .map(|c| {
-                SimTime(
-                    s.batch_timeout
-                        .micros()
-                        .saturating_sub(SimTime::from_ms(c.network_ms).micros()),
-                )
+            .map(|s| ServerActivity {
+                service_id: self.specs[s.service].id,
+                sms: s.share.sms(),
+                activity: (s.busy_comp_us as f64 / window_us).clamp(0.0, 1.0),
             })
             .collect();
-    }
-    let weights = predicted_weights(deployment, specs);
-    let mut routers: Vec<Option<Router>> = weights
-        .iter()
-        .map(|w| {
-            if w.is_empty() {
-                None
-            } else {
-                Some(Router::new(w.iter().map(|(_, t)| *t).collect()))
-            }
-        })
-        .collect();
 
-    let win_start = SimTime::from_secs(config.warmup_s);
-    let win_end = SimTime::from_secs(config.warmup_s + config.duration_s);
-    let sim_end = SimTime::from_secs(config.warmup_s + config.duration_s + config.drain_s);
-    let win = (win_start, win_end);
-
-    // The resilience layer, strictly inert (None) without a policy: the
-    // engine then never materializes request identity and every code path
-    // below is the pre-resilience one, bit-exactly. An inert spec (all
-    // mechanisms disabled) is normalized to None for the same guarantee.
-    let mut res: Option<ResState> = resilience
-        .filter(|r| !r.is_inert())
-        .map(|r| ResState::new(*r, config.seed, specs.len()));
-    // Per-(service, class) effective attempt timeout: the class's network
-    // term is budget already spent, so remote classes time out sooner
-    // (floored at zero — an attempt can be dead on arrival).
-    let res_timeout: Vec<SimTime> = match res.as_ref() {
-        Some(rs) if rs.spec.timeout_ms > 0.0 => classes
-            .iter()
-            .flat_map(|cls| {
-                cls.iter().map(|c| {
-                    SimTime(
-                        SimTime::from_ms(rs.spec.timeout_ms)
-                            .micros()
-                            .saturating_sub(SimTime::from_ms(c.network_ms).micros()),
-                    )
-                })
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    // Server index → (service, router slot), for health-checked routing.
-    let slot_of: Vec<Option<(usize, usize)>> = if res.is_some() {
-        let mut m = vec![None; servers.len()];
-        for (svc, w) in weights.iter().enumerate() {
-            for (k, &(sidx, _)) in w.iter().enumerate() {
-                m[sidx] = Some((svc, k));
-            }
-        }
-        m
-    } else {
-        Vec::new()
-    };
-    let health_checked = res.as_ref().is_some_and(|rs| rs.spec.health_checked);
-
-    if S::ENABLED {
-        // Stamp the measurement window into the trace: every report
-        // counter covers `[start_us, end_us)`, so offline analyzers
-        // (`parva_obs::analyze`, `parvactl trace audit`) can recompute
-        // the report's accounting from spans alone, without the config.
-        sink.emit(
-            TraceEvent::instant("window", "meta", 0)
-                .pid(PID_SERVE)
-                .arg_u64("start_us", win_start.micros())
-                .arg_u64("end_us", win_end.micros()),
-        );
-    }
-
-    let mut q = CalendarQueue::with_capacity(128);
-
-    // Flat per-(service, class) layout: entries of service `i` live at
-    // `cbase[i] .. cbase[i + 1]` in every class-indexed array below.
-    let mut cbase: Vec<usize> = Vec::with_capacity(specs.len() + 1);
-    let mut total_classes = 0usize;
-    for cls in &classes {
-        cbase.push(total_classes);
-        total_classes += cls.len();
-    }
-    cbase.push(total_classes);
-    // Services with exactly one ingress class take a fast accounting path:
-    // the class-level row provably equals the service-level row (same
-    // increment conditions, same record sequence), so the hot loop
-    // maintains only the service row and the report derives the class row.
-    let single: Vec<bool> = classes.iter().map(|c| c.len() == 1).collect();
-    let class_net: Vec<f64> = classes
-        .iter()
-        .flat_map(|c| c.iter().map(|cl| cl.network_ms))
-        .collect();
-    let class_rate: Vec<f64> = classes
-        .iter()
-        .flat_map(|c| c.iter().map(|cl| cl.rate_rps))
-        .collect();
-    // Per-service arrival process: the configured default, unless an
-    // override targets the service (the noisy-neighbor axis — one
-    // tenant's services can burst while the rest stay calm). With no
-    // overrides every entry equals `config.arrivals`, so all draw
-    // sequences are bit-identical to the pre-override engine.
-    let svc_proc: Vec<ArrivalProcess> = (0..specs.len())
-        .map(|i| {
-            arrival_overrides
-                .get(i)
-                .copied()
-                .flatten()
-                .unwrap_or(config.arrivals)
-        })
-        .collect();
-    // Memoryless arrivals need no phase state: the hot loop draws the gap
-    // straight from the class's stream (identical draw to `next_gap`).
-    let poisson = svc_proc
-        .iter()
-        .all(|p| matches!(p, ArrivalProcess::Poisson));
-
-    // Tenant machinery, strictly inert when no tenants are configured:
-    // per-service tenant binding, one admission token bucket per limited
-    // tenant (shared across the tenant's services — the quota is a
-    // tenant-wide contract), and per-service rejection counters.
-    let has_tenants = !tenants.is_empty();
-    let svc_tenant_idx: Vec<Option<usize>> = specs
-        .iter()
-        .map(|s| {
-            if s.tenant == 0 {
-                None
-            } else {
-                tenants.iter().position(|t| t.id == s.tenant)
-            }
-        })
-        .collect();
-    let mut quota: Vec<Option<TokenBucket>> = tenants
-        .iter()
-        .map(|t| t.is_limited().then(|| TokenBucket::new(t.quota_rps)))
-        .collect();
-    let mut rejected = vec![0u64; specs.len()];
-
-    // One arrival stream per (service, class); class 0 reuses the exact
-    // pre-ingress stream derivation for backwards-identical sample paths.
-    let mut arrival_rng: Vec<RngStream> = specs
-        .iter()
-        .zip(&classes)
-        .flat_map(|(s, cls)| {
-            (0..cls.len()).map(|c| RngStream::new(class_seed(config.seed, c), u64::from(s.id)))
-        })
-        .collect();
-
-    // MMPP phase state per service (ignored by the other processes). Phase
-    // streams are separate RNG streams so flipping the arrival process does
-    // not perturb the arrival sample path structure.
-    let mut bursting: Vec<bool> = vec![false; specs.len()];
-    let mut phase_until: Vec<SimTime> = vec![SimTime::ZERO; specs.len()];
-    let mut phase_rng: Vec<RngStream> = specs
-        .iter()
-        .map(|s| RngStream::new(config.seed ^ 0x9E37_79B9, u64::from(s.id)))
-        .collect();
-
-    // Draw the next interarrival gap for class `c` of service `i` as of
-    // time `now`. The MMPP phase state is shared across a service's classes
-    // (one demand process, several ingress paths).
-    let next_gap = |i: usize,
-                    c: usize,
-                    now: SimTime,
-                    rng: &mut Vec<RngStream>,
-                    bursting: &mut Vec<bool>,
-                    phase_until: &mut Vec<SimTime>,
-                    phase_rng: &mut Vec<RngStream>|
-     -> SimTime {
-        let rate = classes[i][c].rate_rps;
-        match svc_proc[i] {
-            ArrivalProcess::Poisson => rng[cbase[i] + c].exp_interarrival(rate),
-            ArrivalProcess::Deterministic => SimTime::from_secs(1.0 / rate),
-            ArrivalProcess::Mmpp { mean_phase_s, .. } => {
-                while now >= phase_until[i] {
-                    bursting[i] = !bursting[i];
-                    phase_until[i] += phase_rng[i].exp_interarrival(1.0 / mean_phase_s.max(1e-6));
-                }
-                let phase_rate = svc_proc[i].phase_rate(rate, bursting[i]);
-                rng[cbase[i] + c].exp_interarrival(phase_rate)
-            }
-        }
-    };
-
-    // Per-service accounting, plus flat per-(service, class) accounting
-    // (class rows of single-class services are derived at report time).
-    let mut offered = vec![0u64; specs.len()];
-    let mut completed = vec![0u64; specs.len()];
-    let mut batches = vec![0u64; specs.len()];
-    let mut violated = vec![0u64; specs.len()];
-    let mut within_slo = vec![0u64; specs.len()];
-    let mut latency: Vec<LatencyHistogram> =
-        (0..specs.len()).map(|_| LatencyHistogram::new()).collect();
-    let mut class_offered = vec![0u64; total_classes];
-    let mut class_completed = vec![0u64; total_classes];
-    let mut class_within = vec![0u64; total_classes];
-    let mut class_latency: Vec<LatencyHistogram> = (0..total_classes)
-        .map(|_| LatencyHistogram::new())
-        .collect();
-
-    // Seed first arrivals (zero-rate classes never generate traffic).
-    // `next_gap` holds a shared borrow of `classes`, which coexists with
-    // this shared iteration.
-    for (i, cls) in classes.iter().enumerate() {
-        for (c, class) in cls.iter().enumerate() {
-            if class.rate_rps <= 0.0 {
-                continue;
-            }
-            let t = next_gap(
-                i,
-                c,
-                SimTime::ZERO,
-                &mut arrival_rng,
-                &mut bursting,
-                &mut phase_until,
-                &mut phase_rng,
-            );
-            q.schedule(t, ev(TAG_ARRIVAL, i as u64, c as u64));
-        }
-    }
-
-    // Recovery riding the same queue: the capacity loss fires at
-    // `start_ms`; the op timeline (per-node serialized re-flashes, FIFO
-    // PCIe copies) is booked when it fires. `None`/empty specs schedule
-    // nothing, keeping the plain path bit-identical.
-    let rec_spec = recovery.filter(|r| !r.is_empty());
-    let mut rec_report: Option<RecoverySimReport> = None;
-    if let Some(spec) = rec_spec {
-        q.schedule(
-            SimTime::from_ms(spec.start_ms),
-            ev(TAG_RECOVERY_BEGIN, 0, 0),
-        );
-    }
-
-    // The recycled batch slab: `slab[id]` is a batch's request list,
-    // `slab_comp[id]` its SM-occupancy, `free` the ids open for reuse —
-    // steady-state launches allocate nothing.
-    let mut slab: Vec<Vec<(SimTime, u32)>> = Vec::new();
-    let mut slab_comp: Vec<u64> = Vec::new();
-    let mut free: Vec<u32> = Vec::new();
-
-    // The event loop stops at the window's end, not at `sim_end`: every
-    // report field is accumulated strictly inside `[win_start, win_end)`
-    // (post-window completions are discarded by the `in_window` gates), so
-    // events in the drain tail cannot influence the report — with one
-    // exception, a recovery spec whose start lands after the window, which
-    // the post-loop fixup below reproduces exactly as the drained loop
-    // would have (the recovery report is fully determined at its begin
-    // event). Skipping the tail is therefore bit-identical and saves the
-    // whole drain period's event processing.
-    // When tracing, remember when each server went dark so the `dark`
-    // span can be closed at its GPU's recovery instant.
-    let mut dark_since: Vec<SimTime> = if S::ENABLED {
-        vec![SimTime::ZERO; servers.len()]
-    } else {
-        Vec::new()
-    };
-
-    let loop_started = std::time::Instant::now();
-    let cpu_started = parva_des::counters::thread_cpu_nanos();
-    while let Some((t, payload)) = q.pop() {
-        if S::ENABLED {
-            // Deliver any gauge boundaries the simulation clock just
-            // crossed (state as of strictly before `t`), capped at the
-            // window's end; the post-loop flush covers a queue that
-            // drains before `win_end`.
-            while sink.next_sample_us() < t.micros() && sink.next_sample_us() <= win_end.micros() {
-                sample_serve_gauges(
-                    sink,
-                    sink.next_sample_us(),
-                    &servers,
-                    specs,
-                    tenants,
-                    &offered,
-                    &completed,
-                    &within_slo,
-                    &rejected,
-                    res.as_ref(),
-                );
-            }
-        }
-        if t > win_end {
-            break;
-        }
-        let a = ((payload >> A_SHIFT) & A_MASK) as usize;
-        let b = (payload & B_MASK) as usize;
-        match payload >> TAG_SHIFT {
-            TAG_ARRIVAL => {
-                let (service, class) = (a, b);
-                // Schedule the next arrival while load generation is on.
-                let flat = cbase[service] + class;
-                let next = if poisson {
-                    t + arrival_rng[flat].exp_interarrival(class_rate[flat])
-                } else {
-                    t + next_gap(
-                        service,
-                        class,
-                        t,
-                        &mut arrival_rng,
-                        &mut bursting,
-                        &mut phase_until,
-                        &mut phase_rng,
-                    )
-                };
-                if next < win_end {
-                    q.schedule(next, payload);
-                }
-                if t >= win_start && t < win_end {
-                    offered[service] += 1;
-                    if !single[service] {
-                        class_offered[flat] += 1;
-                    }
-                }
-                // Per-tenant admission quota: an over-quota request is
-                // rejected and reported, never silently queued — it still
-                // counts as offered, lands in the rejection counters, and
-                // leaves a traced arrival so `trace audit` can recount
-                // per-tenant attainment exactly.
-                if has_tenants {
-                    if let Some(ti) = svc_tenant_idx[service] {
-                        if let Some(bucket) = quota[ti].as_mut() {
-                            if !bucket.admit(t) {
-                                if t >= win_start && t < win_end {
-                                    rejected[service] += 1;
-                                }
-                                if S::ENABLED {
-                                    sink.emit(
-                                        TraceEvent::instant("arrival", "request", t.micros())
-                                            .pid(PID_SERVE)
-                                            .tid(0)
-                                            .arg_u64("service", u64::from(specs[service].id))
-                                            .arg_u64("class", class as u64)
-                                            .arg_u64("tenant", u64::from(specs[service].tenant))
-                                            .arg_bool("rejected", true),
-                                    );
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                }
-                if let Some(router) = routers[service].as_mut() {
-                    let k = router.route();
-                    let (sidx, _) = weights[service][k];
-                    if S::ENABLED {
-                        let mut arrival = TraceEvent::instant("arrival", "request", t.micros())
-                            .pid(PID_SERVE)
-                            .tid(sidx as u32)
-                            .arg_u64("service", u64::from(specs[service].id))
-                            .arg_u64("class", class as u64);
-                        if has_tenants {
-                            arrival = arrival.arg_u64("tenant", u64::from(specs[service].tenant));
-                        }
-                        sink.emit(arrival);
-                    }
-                    // Queue-depth load shedding: an arrival routed to a
-                    // server already holding `shed_queue_depth` requests
-                    // is dropped (counted as offered, never served) —
-                    // bounded queues instead of unbounded latency.
-                    if let Some(rs) = res.as_mut() {
-                        let depth = rs.spec.shed_queue_depth as usize;
-                        if depth > 0 && servers[sidx].queue.len() >= depth {
-                            if t >= win_start && t < win_end {
-                                rs.shed[service] += 1;
-                            }
-                            if S::ENABLED {
-                                sink.emit(
-                                    TraceEvent::instant("shed", "resilience", t.micros())
-                                        .pid(PID_SERVE)
-                                        .tid(sidx as u32)
-                                        .arg_u64("service", u64::from(specs[service].id)),
-                                );
-                            }
-                            continue;
-                        }
-                    }
-                    let entry = match res.as_mut() {
-                        Some(rs) => {
-                            let rid = rs.alloc(service as u32, class as u32, t, sidx as u32);
-                            let epoch = u64::from(rs.reqs[rid as usize].epoch) & B_MASK;
-                            if rs.spec.timeout_ms > 0.0 {
-                                let fire = t + res_timeout[flat];
-                                // Events past the window can never be
-                                // observed (the loop breaks there) — skip
-                                // booking them at all.
-                                if fire <= win_end {
-                                    q.schedule(fire, ev(TAG_TIMEOUT, u64::from(rid), epoch));
-                                }
-                            }
-                            if rs.spec.hedge_quantile > 0.0 {
-                                let fire = t + hedge_delay(
-                                    &latency[service],
-                                    &specs[service],
-                                    rs.spec.hedge_quantile,
-                                );
-                                if fire <= win_end {
-                                    q.schedule(fire, ev(TAG_HEDGE, u64::from(rid), epoch));
-                                }
-                            }
-                            (t, rid)
-                        }
-                        None => (t, class as u32),
-                    };
-                    servers[sidx].queue.push_back(entry);
-                    try_start(
-                        &mut q,
-                        &mut servers,
-                        &mut slab,
-                        &mut slab_comp,
-                        &mut free,
-                        sidx,
-                        &mut res,
-                        specs,
-                        win,
-                        sink,
-                    );
-                }
-            }
-            TAG_DONE => {
-                let (batch_id, server) = (a, b);
-                servers[server].busy -= 1;
-                let service = servers[server].service;
-                let in_window = t >= win_start && t < win_end;
-                if S::ENABLED {
-                    // One request-lifecycle span per member: arrival →
-                    // completion, tagged ok/miss against the SLO
-                    // (network RTT included, exactly as accounted). With
-                    // a resilience policy the span runs from the request's
-                    // *first* arrival — retried attempts pay for the time
-                    // their failed predecessors burned.
-                    let slo_ms = specs[service].slo.latency_ms;
-                    let base = cbase[service];
-                    for &(enq, x) in &slab[batch_id] {
-                        let (arrived, class) = match res.as_ref() {
-                            Some(rs) => {
-                                let r = &rs.reqs[x as usize];
-                                (r.first_arrival, r.class)
-                            }
-                            None => (enq, x),
-                        };
-                        let lat_ms = t.since(arrived).as_ms() + class_net[base + class as usize];
-                        let mut span = TraceEvent::span(
-                            "request",
-                            "request",
-                            arrived.micros(),
-                            spec_dur(arrived, t),
-                        )
-                        .pid(PID_SERVE)
-                        .tid(server as u32)
-                        .arg_u64("service", u64::from(specs[service].id))
-                        .arg_u64("class", u64::from(class))
-                        .arg_f64("latency_ms", lat_ms)
-                        .arg_bool("ok", lat_ms <= slo_ms);
-                        if has_tenants {
-                            span = span.arg_u64("tenant", u64::from(specs[service].tenant));
-                        }
-                        sink.emit(span);
-                    }
-                }
-                if in_window {
-                    servers[server].busy_comp_us += slab_comp[batch_id];
-                    batches[service] += 1;
-                    let slo_ms = specs[service].slo.latency_ms;
-                    let base = cbase[service];
-                    let single_class = single[service];
-                    let hist = &mut latency[service];
-                    let mut done_n = 0u64;
-                    let mut ok_n = 0u64;
-                    let mut worst = 0.0f64;
-                    for &(enq, x) in &slab[batch_id] {
-                        let (arrived, class) = match res.as_ref() {
-                            Some(rs) => {
-                                let r = &rs.reqs[x as usize];
-                                (r.first_arrival, r.class)
-                            }
-                            None => (enq, x),
-                        };
-                        let c = class as usize;
-                        // The RTT term: network latency already spent by
-                        // this ingress class counts against the SLO.
-                        let lat_ms = t.since(arrived).as_ms() + class_net[base + c];
-                        hist.record_ms(lat_ms);
-                        worst = worst.max(lat_ms);
-                        done_n += 1;
-                        let ok = lat_ms <= slo_ms;
-                        ok_n += u64::from(ok);
-                        if !single_class {
-                            class_latency[base + c].record_ms(lat_ms);
-                            class_completed[base + c] += 1;
-                            if ok {
-                                class_within[base + c] += 1;
-                            }
-                        }
-                    }
-                    completed[service] += done_n;
-                    within_slo[service] += ok_n;
-                    if worst > slo_ms {
-                        violated[service] += 1;
-                    }
-                }
-                if let Some(rs) = res.as_mut() {
-                    // Completed requests retire: epoch bump stales any
-                    // straggler timeout/hedge events, the id recycles.
-                    for &(_, rid) in &slab[batch_id] {
-                        rs.free_req(rid);
-                    }
-                }
-                free.push(batch_id as u32);
-                try_start(
-                    &mut q,
-                    &mut servers,
-                    &mut slab,
-                    &mut slab_comp,
-                    &mut free,
-                    server,
-                    &mut res,
-                    specs,
-                    win,
-                    sink,
-                );
-            }
-            TAG_DEADLINE => {
-                // Stale deadlines (batch already launched) fall through
-                // harmlessly: try_start re-evaluates the queue state.
-                try_start(
-                    &mut q,
-                    &mut servers,
-                    &mut slab,
-                    &mut slab_comp,
-                    &mut free,
-                    b,
-                    &mut res,
-                    specs,
-                    win,
-                    sink,
-                );
-            }
-            TAG_RECOVERY_BEGIN => {
-                let spec = rec_spec.expect("recovery event without a spec");
-                let mut dark = 0usize;
-                for op in &spec.ops {
-                    let Some(g) = op.logical_gpu else { continue };
-                    for (si, s) in servers.iter_mut().enumerate() {
-                        if s.gpu == g && !s.dark {
-                            s.dark = true;
-                            dark += 1;
-                            if S::ENABLED {
-                                dark_since[si] = t;
-                            }
-                            // Health-checked routing: a dark server is
-                            // drained — new arrivals go to its healthy
-                            // siblings instead of queueing on a corpse.
-                            if health_checked {
-                                if let Some((svc, slot)) = slot_of[si] {
-                                    if let Some(r) = routers[svc].as_mut() {
-                                        r.set_healthy(slot, false);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if S::ENABLED {
-                    sink.emit(
-                        TraceEvent::instant("recovery-begin", "recovery", t.micros())
-                            .pid(PID_SERVE)
-                            .arg_u64("dark_servers", dark as u64)
-                            .arg_u64("ops", spec.ops.len() as u64),
-                    );
-                }
-                let timeline = recovery_timeline(spec, t, sink);
-                let mut last = t + SimTime::from_ms(spec.control_plane_ms);
-                for (i, ready) in timeline.iter().enumerate() {
-                    q.schedule(*ready, ev(TAG_GPU_RECOVERED, i as u64, 0));
-                    last = last.max(*ready);
-                }
-                rec_report = Some(RecoverySimReport {
-                    started_ms: t.as_ms(),
-                    latency_ms: last.since(t).as_ms(),
-                    dark_servers: dark,
-                    reflashes_done: spec.ops.iter().filter(|o| o.reflash && !o.prepared).count(),
-                    copied_gib: spec.pending_copy_gib(),
-                    precopied_gib: spec.prepared_gib(),
-                });
-            }
-            TAG_GPU_RECOVERED => {
-                // Op `a` finished; light its GPU up.
-                let spec = rec_spec.expect("recovery event without a spec");
-                let Some(g) = spec.ops[a].logical_gpu else {
-                    continue;
-                };
-                for si in 0..servers.len() {
-                    if servers[si].gpu == g && servers[si].dark {
-                        servers[si].dark = false;
-                        if S::ENABLED {
-                            // Close the server's dark window: capacity
-                            // was offline from recovery-begin to now.
-                            sink.emit(
-                                TraceEvent::span(
-                                    "dark",
-                                    "recovery",
-                                    dark_since[si].micros(),
-                                    spec_dur(dark_since[si], t),
-                                )
-                                .pid(PID_SERVE)
-                                .tid(si as u32)
-                                .arg_u64("gpu", g as u64),
-                            );
-                            sink.emit(
-                                TraceEvent::instant("live", "recovery", t.micros())
-                                    .pid(PID_SERVE)
-                                    .tid(si as u32)
-                                    .arg_u64("gpu", g as u64),
-                            );
-                        }
-                        // Re-admit to health-checked routing: credit
-                        // accumulated while drained, so the recovered
-                        // server catches up on its fair share.
-                        if health_checked {
-                            if let Some((svc, slot)) = slot_of[si] {
-                                if let Some(r) = routers[svc].as_mut() {
-                                    r.set_healthy(slot, true);
-                                }
-                            }
-                        }
-                        try_start(
-                            &mut q,
-                            &mut servers,
-                            &mut slab,
-                            &mut slab_comp,
-                            &mut free,
-                            si,
-                            &mut res,
-                            specs,
-                            win,
-                            sink,
-                        );
-                    }
-                }
-            }
-            TAG_TIMEOUT => {
-                // Attempt timeout: pull the request (and its hedge twin)
-                // out of the queues, then retry if the attempt cap and the
-                // cluster-wide retry budget both allow — else give up.
-                let rs = res.as_mut().expect("resilience event without state");
-                if !rs.epoch_current(a, b) {
-                    continue; // already launched / completed / retired
-                }
-                let rid = a as u32;
-                let (service, primary, hedge) = {
-                    let r = &rs.reqs[a];
-                    (r.service as usize, r.server as usize, r.hedge_server)
-                };
-                remove_rid(&mut servers[primary].queue, rid);
-                if hedge >= 0 {
-                    remove_rid(&mut servers[hedge as usize].queue, rid);
-                }
-                if t >= win_start && t < win_end {
-                    rs.timeouts[service] += 1;
-                }
-                if S::ENABLED {
-                    sink.emit(
-                        TraceEvent::instant("timeout", "resilience", t.micros())
-                            .pid(PID_SERVE)
-                            .tid(primary as u32)
-                            .arg_u64("service", u64::from(specs[service].id)),
-                    );
-                }
-                let attempts = {
-                    let r = &mut rs.reqs[a];
-                    r.epoch = r.epoch.wrapping_add(1);
-                    r.hedge_server = -1;
-                    r.attempts
-                };
-                let can_retry = attempts < rs.spec.max_retries;
-                // The budget is only consulted for retries that would
-                // actually happen — a drained bucket is what breaks the
-                // metastable feedback loop under overload.
-                let admitted = can_retry && rs.budget.as_mut().is_none_or(|bk| bk.admit(t));
-                if admitted {
-                    let mut delay_ms =
-                        rs.spec.backoff_base_ms * rs.spec.backoff_multiplier.powi(attempts as i32);
-                    if rs.spec.jitter > 0.0 {
-                        // Draw only when configured: zero-jitter runs
-                        // share the no-resilience RNG state bit-exactly.
-                        delay_ms *= 1.0 + rs.spec.jitter * rs.rng.uniform();
-                    }
-                    let fire = t + SimTime::from_ms(delay_ms);
-                    if fire <= win_end {
-                        let epoch = u64::from(rs.reqs[a].epoch) & B_MASK;
-                        q.schedule(fire, ev(TAG_RETRY, u64::from(rid), epoch));
-                    } else {
-                        rs.free_req(rid);
-                    }
-                } else {
-                    rs.free_req(rid);
-                }
-            }
-            TAG_RETRY => {
-                // Backoff expired: re-route the request as a fresh attempt
-                // (sheddable like any arrival — a shed retry is a shed,
-                // not a retry).
-                let Some(rs) = res.as_mut() else { continue };
-                if !rs.epoch_current(a, b) {
-                    continue;
-                }
-                let rid = a as u32;
-                let service = rs.reqs[a].service as usize;
-                let Some(router) = routers[service].as_mut() else {
-                    rs.free_req(rid);
-                    continue;
-                };
-                let k = router.route();
-                let (sidx, _) = weights[service][k];
-                let depth = rs.spec.shed_queue_depth as usize;
-                if depth > 0 && servers[sidx].queue.len() >= depth {
-                    if t >= win_start && t < win_end {
-                        rs.shed[service] += 1;
-                    }
-                    if S::ENABLED {
-                        sink.emit(
-                            TraceEvent::instant("shed", "resilience", t.micros())
-                                .pid(PID_SERVE)
-                                .tid(sidx as u32)
-                                .arg_u64("service", u64::from(specs[service].id)),
-                        );
-                    }
-                    rs.free_req(rid);
-                    continue;
-                }
-                {
-                    let r = &mut rs.reqs[a];
-                    r.attempts += 1;
-                    r.server = sidx as u32;
-                }
-                if t >= win_start && t < win_end {
-                    rs.retries[service] += 1;
-                }
-                if S::ENABLED {
-                    sink.emit(
-                        TraceEvent::instant("retry", "resilience", t.micros())
-                            .pid(PID_SERVE)
-                            .tid(sidx as u32)
-                            .arg_u64("service", u64::from(specs[service].id)),
-                    );
-                }
-                // Re-arm the attempt's timeout and hedge against the
-                // epoch set at the timeout that spawned this retry.
-                let epoch = u64::from(rs.reqs[a].epoch) & B_MASK;
-                if rs.spec.timeout_ms > 0.0 {
-                    let class = rs.reqs[a].class as usize;
-                    let fire = t + res_timeout[cbase[service] + class];
-                    if fire <= win_end {
-                        q.schedule(fire, ev(TAG_TIMEOUT, u64::from(rid), epoch));
-                    }
-                }
-                if rs.spec.hedge_quantile > 0.0 {
-                    let fire =
-                        t + hedge_delay(&latency[service], &specs[service], rs.spec.hedge_quantile);
-                    if fire <= win_end {
-                        q.schedule(fire, ev(TAG_HEDGE, u64::from(rid), epoch));
-                    }
-                }
-                servers[sidx].queue.push_back((t, rid));
-                try_start(
-                    &mut q,
-                    &mut servers,
-                    &mut slab,
-                    &mut slab_comp,
-                    &mut free,
-                    sidx,
-                    &mut res,
-                    specs,
-                    win,
-                    sink,
-                );
-            }
-            TAG_HEDGE => {
-                // Hedge-fire: the attempt outlived the service's
-                // p-quantile latency; enqueue a second copy on another
-                // server. First copy to launch wins; `launch` cancels the
-                // twin. Epoch discipline guarantees at most one pending
-                // hedge per attempt.
-                let Some(rs) = res.as_mut() else { continue };
-                if !rs.epoch_current(a, b) {
-                    continue;
-                }
-                let rid = a as u32;
-                let (service, primary) = {
-                    let r = &rs.reqs[a];
-                    (r.service as usize, r.server as usize)
-                };
-                let Some(router) = routers[service].as_mut() else {
-                    continue;
-                };
-                let k = router.route();
-                let (sidx, _) = weights[service][k];
-                if sidx == primary {
-                    // No alternative server drawn — nothing to hedge to.
-                    continue;
-                }
-                let depth = rs.spec.shed_queue_depth as usize;
-                if depth > 0 && servers[sidx].queue.len() >= depth {
-                    continue; // hedges are best-effort: full queue, no copy
-                }
-                rs.reqs[a].hedge_server = sidx as i64;
-                if t >= win_start && t < win_end {
-                    rs.hedges[service] += 1;
-                }
-                if S::ENABLED {
-                    sink.emit(
-                        TraceEvent::instant("hedge", "resilience", t.micros())
-                            .pid(PID_SERVE)
-                            .tid(sidx as u32)
-                            .arg_u64("service", u64::from(specs[service].id)),
-                    );
-                }
-                servers[sidx].queue.push_back((t, rid));
-                try_start(
-                    &mut q,
-                    &mut servers,
-                    &mut slab,
-                    &mut slab_comp,
-                    &mut free,
-                    sidx,
-                    &mut res,
-                    specs,
-                    win,
-                    sink,
-                );
-            }
-            _ => unreachable!("unknown event tag"),
-        }
-    }
-    parva_des::counters::record_sim(
-        q.processed(),
-        q.peak_pending(),
-        loop_started.elapsed().as_nanos() as u64,
-        parva_des::counters::thread_cpu_nanos().saturating_sub(cpu_started),
-    );
-
-    if S::ENABLED {
-        // The event queue can drain before `win_end`; deliver the
-        // remaining gauge boundaries from final state so the series
-        // always spans the full measurement window.
-        while sink.next_sample_us() <= win_end.micros() {
-            sample_serve_gauges(
-                sink,
-                sink.next_sample_us(),
-                &servers,
-                specs,
-                tenants,
-                &offered,
-                &completed,
-                &within_slo,
-                &rejected,
-                res.as_ref(),
-            );
-        }
-    }
-
-    // Post-window recovery fixup: a recovery that begins inside the drain
-    // tail `(win_end, sim_end]` no longer fires in the loop, but its
-    // report was always fully determined at the begin event — the timeline
-    // is booked analytically there, and no server can already be dark (the
-    // one begin event is this one). Reproduce exactly what the drained
-    // loop computed.
-    if rec_report.is_none() {
-        if let Some(spec) = rec_spec {
-            let fire = SimTime::from_ms(spec.start_ms);
-            if fire > win_end && fire <= sim_end {
-                let mut dark = 0usize;
-                let mut darkened = vec![false; servers.len()];
-                for op in &spec.ops {
-                    let Some(g) = op.logical_gpu else { continue };
-                    for (si, s) in servers.iter().enumerate() {
-                        if s.gpu == g && !darkened[si] {
-                            darkened[si] = true;
-                            dark += 1;
-                        }
-                    }
-                }
-                let timeline = recovery_timeline(spec, fire, sink);
-                let mut last = fire + SimTime::from_ms(spec.control_plane_ms);
-                for ready in &timeline {
-                    last = last.max(*ready);
-                }
-                rec_report = Some(RecoverySimReport {
-                    started_ms: fire.as_ms(),
-                    latency_ms: last.since(fire).as_ms(),
-                    dark_servers: dark,
-                    reflashes_done: spec.ops.iter().filter(|o| o.reflash && !o.prepared).count(),
-                    copied_gib: spec.pending_copy_gib(),
-                    precopied_gib: spec.prepared_gib(),
-                });
-            }
-        }
-    }
-
-    let window_us = win_end.since(win_start).micros() as f64;
-    let server_reports = servers
-        .iter()
-        .map(|s| ServerActivity {
-            service_id: specs[s.service].id,
-            sms: s.share.sms(),
-            activity: (s.busy_comp_us as f64 / window_us).clamp(0.0, 1.0),
-        })
-        .collect();
-
-    // Class rows first: single-class rows copy the service-level data
-    // before the service rows take ownership of the histograms below;
-    // multi-class rows move their own histograms out of the flat array.
-    let mut class_reports = Vec::with_capacity(total_classes);
-    for (i, spec) in specs.iter().enumerate() {
-        if single[i] {
-            class_reports.push(ClassReport {
-                service_id: spec.id,
-                class: 0,
-                network_ms: classes[i][0].network_ms,
-                offered: offered[i],
-                completed: completed[i],
-                completed_within_slo: within_slo[i],
-                latency: latency[i].clone(),
-            });
-        } else {
-            for (c, cls) in classes[i].iter().enumerate() {
+        // Class rows first: single-class rows copy the service-level data
+        // before the service rows take ownership of the histograms below;
+        // multi-class rows move their own histograms out of the flat array.
+        let mut class_reports = Vec::with_capacity(self.class_rate.len());
+        for (i, spec) in self.specs.iter().enumerate() {
+            let (base, end) = (self.cbase[i], self.cbase[i + 1]);
+            if end - base == 1 {
                 class_reports.push(ClassReport {
                     service_id: spec.id,
-                    class: c,
-                    network_ms: cls.network_ms,
-                    offered: class_offered[cbase[i] + c],
-                    completed: class_completed[cbase[i] + c],
-                    completed_within_slo: class_within[cbase[i] + c],
-                    latency: std::mem::take(&mut class_latency[cbase[i] + c]),
+                    class: 0,
+                    network_ms: self.class_net[base],
+                    offered: self.offered[i],
+                    completed: self.completed[i],
+                    completed_within_slo: self.within_slo[i],
+                    latency: self.latency[i].clone(),
                 });
+            } else {
+                for c in base..end {
+                    class_reports.push(ClassReport {
+                        service_id: spec.id,
+                        class: c - base,
+                        network_ms: self.class_net[c],
+                        offered: self.class_offered[c],
+                        completed: self.class_completed[c],
+                        completed_within_slo: self.class_within[c],
+                        latency: self.class_latency[c].take().unwrap_or_default(),
+                    });
+                }
+            }
+        }
+
+        // Tenant rollups before the service rows take ownership of the
+        // histograms: each tenant's row sums its services' counters and
+        // merges their latency distributions. Empty when no tenants are
+        // configured, which the report serializer omits entirely.
+        let tenant_reports: Vec<TenantReport> = self
+            .tenants
+            .iter()
+            .map(|t| {
+                let [offered, rejected, completed, within] = self.tenant_totals(t.id);
+                let mut hist = LatencyHistogram::new();
+                for (i, spec) in self.specs.iter().enumerate() {
+                    if spec.tenant == t.id {
+                        hist.merge(&self.latency[i]);
+                    }
+                }
+                TenantReport {
+                    tenant: t.id,
+                    name: t.name.clone(),
+                    offered,
+                    admitted: offered - rejected,
+                    rejected,
+                    completed,
+                    completed_within_slo: within,
+                    latency: hist,
+                }
+            })
+            .collect();
+
+        let res = self.res.as_ref();
+        ServingReport {
+            duration_s: self.duration_s,
+            services: self
+                .specs
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| ServiceReport {
+                    service_id: spec.id,
+                    offered: self.offered[i],
+                    completed: self.completed[i],
+                    batches: self.batches[i],
+                    violated_batches: self.violated[i],
+                    completed_within_slo: self.within_slo[i],
+                    latency: std::mem::take(&mut self.latency[i]),
+                    rejected: self.rejected[i],
+                    timeouts: res.map_or(0, |r| r.timeouts[i]),
+                    retries: res.map_or(0, |r| r.retries[i]),
+                    shed: res.map_or(0, |r| r.shed[i]),
+                    hedges: res.map_or(0, |r| r.hedges[i]),
+                    hedge_wins: res.map_or(0, |r| r.hedge_wins[i]),
+                })
+                .collect(),
+            servers: server_reports,
+            classes: class_reports,
+            recovery,
+            tenants: tenant_reports,
+        }
+    }
+
+    /// Advance one epoch of `epoch_us` and close it: the returned
+    /// per-service observations (also [`Engine::last_epoch`]) count what
+    /// arrived and completed during the epoch.
+    pub fn step_epoch<S: TraceSink>(&mut self, epoch_us: u64, sink: &mut S) -> &[EpochObservation] {
+        let until = self.q.now() + SimTime(epoch_us);
+        self.advance_to(until, sink);
+        self.epoch += 1;
+        self.last_epoch = self
+            .specs
+            .iter()
+            .zip(&mut self.epoch_mark)
+            .enumerate()
+            .map(|(i, (spec, mark))| {
+                let now = [self.offered[i], self.completed[i], self.within_slo[i]];
+                let obs = EpochObservation {
+                    service: spec.id,
+                    offered: now[0] - mark[0],
+                    completed: now[1] - mark[1],
+                    within_slo: now[2] - mark[2],
+                };
+                *mark = now;
+                obs
+            })
+            .collect();
+        &self.last_epoch
+    }
+
+    /// Swap the served deployment (and service set) under the running
+    /// traffic — the autoscaler's actuation path.
+    ///
+    /// Queued requests are parked, the serving fabric is rebuilt from
+    /// `deployment`, the `recovery` work (if any) begins now — servers on
+    /// its GPUs stay dark until their measured re-flash/copy completes —
+    /// and the parked requests are re-routed through the new routers in
+    /// arrival order (a service left without servers loses them).
+    /// In-flight batches complete and count; their capacity dies with
+    /// their old servers.
+    ///
+    /// `specs` must extend the current service list (same ids, same order,
+    /// possibly more — new services append with one local class at their
+    /// spec rate; rate changes only alter the allocator's view, never the
+    /// offered load).
+    ///
+    /// # Panics
+    /// A `specs` list that drops or reorders existing services.
+    pub fn reconfigure<S: TraceSink>(
+        &mut self,
+        deployment: &Deployment,
+        specs: &[ServiceSpec],
+        recovery: Option<&RecoverySpec>,
+        sink: &mut S,
+    ) {
+        let old_n = self.specs.len();
+        assert!(
+            specs.len() >= old_n
+                && specs
+                    .iter()
+                    .zip(&self.specs)
+                    .all(|(new, old)| new.id == old.id),
+            "reconfigure must preserve existing services (append-only)"
+        );
+        let mut parked: Vec<(SimTime, usize, u32)> = Vec::new();
+        for s in &mut self.servers {
+            let service = s.service;
+            parked.extend(s.queue.drain(..).map(|(t, x)| (t, service, x)));
+        }
+        parked.sort_by_key(|&(t, _, _)| t);
+
+        self.generation = self.generation.wrapping_add(1);
+        self.specs[..old_n].copy_from_slice(&specs[..old_n]);
+        for spec in &specs[old_n..] {
+            let local = IngressClass::local(spec.request_rate_rps);
+            self.push_service(*spec, &[local], self.arrivals);
+        }
+        self.build_fabric(deployment);
+        if let Some(spec) = recovery.filter(|r| !r.is_empty()) {
+            self.recovery = Some(spec.clone());
+            self.begin_recovery(self.q.now(), sink);
+        }
+
+        // A hedged request is parked twice; it re-routes once, unhedged.
+        let mut rerouted = vec![false; self.res.as_ref().map_or(0, |rs| rs.reqs.len())];
+        for (t, service, x) in parked {
+            let tracked = self.res.as_mut().filter(|rs| rs.tracked);
+            if tracked.is_some() && std::mem::replace(&mut rerouted[x as usize], true) {
+                continue;
+            }
+            let Some(router) = self.routers[service].as_mut() else {
+                if let Some(rs) = tracked {
+                    rs.free_req(x);
+                }
+                continue;
+            };
+            let si = self.svc_servers[service][router.route()];
+            if let Some(rs) = tracked {
+                let r = &mut rs.reqs[x as usize];
+                r.server = si as u32;
+                r.hedge_server = -1;
+            }
+            self.servers[si].queue.push_back((t, x));
+        }
+        for si in 0..self.servers.len() {
+            self.try_start(si, sink);
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("reconfigure", "serve", self.q.now().micros())
+                    .pid(PID_SERVE)
+                    .arg_u64("generation", u64::from(self.generation))
+                    .arg_u64("gpus", deployment.gpu_count() as u64)
+                    .arg_u64("servers", self.servers.len() as u64),
+            );
+        }
+    }
+
+    /// Scale every service's offered load: class rates become
+    /// `configured × per_service[service]` (missing entries: 1). This is
+    /// the *true demand* injection point (diurnal swings, flash crowds) —
+    /// an autoscaler never sees it directly, only the resulting arrivals.
+    ///
+    /// # Panics
+    /// Non-positive or non-finite multipliers (a dead arrival stream can
+    /// never restart itself).
+    pub fn set_demand_multiplier(&mut self, per_service: &[f64]) {
+        for i in 0..self.specs.len() {
+            let m = per_service.get(i).copied().unwrap_or(1.0);
+            assert!(m.is_finite() && m > 0.0, "demand multiplier must be > 0");
+            for c in self.cbase[i]..self.cbase[i + 1] {
+                self.class_rate[c] = self.class_base_rps[c] * m;
             }
         }
     }
 
-    // Tenant rollups before the service rows take ownership of the
-    // histograms: each tenant's row sums its services' counters and merges
-    // their latency distributions. Empty when no tenants are configured,
-    // which the report serializer omits entirely.
-    let tenant_reports: Vec<TenantReport> = tenants
-        .iter()
-        .map(|t| {
-            let mut t_offered = 0u64;
-            let mut t_rejected = 0u64;
-            let mut t_completed = 0u64;
-            let mut t_within = 0u64;
-            let mut hist = LatencyHistogram::new();
-            for (i, spec) in specs.iter().enumerate() {
-                if spec.tenant == t.id {
-                    t_offered += offered[i];
-                    t_rejected += rejected[i];
-                    t_completed += completed[i];
-                    t_within += within_slo[i];
-                    hist.merge(&latency[i]);
-                }
-            }
-            TenantReport {
-                tenant: t.id,
-                name: t.name.clone(),
-                offered: t_offered,
-                admitted: t_offered - t_rejected,
-                rejected: t_rejected,
-                completed: t_completed,
-                completed_within_slo: t_within,
-                latency: hist,
-            }
-        })
-        .collect();
+    /// Cumulative per-service outcomes over everything served so far.
+    #[must_use]
+    pub fn stream_report(&self) -> StreamReport {
+        StreamReport {
+            epochs: self.epoch,
+            sim_ms: self.q.now().micros() as f64 / 1000.0,
+            services: self
+                .specs
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| StreamServiceReport {
+                    id: spec.id,
+                    offered: self.offered[i],
+                    completed: self.completed[i],
+                    within_slo: self.within_slo[i],
+                    attainment: if self.completed[i] == 0 {
+                        1.0
+                    } else {
+                        self.within_slo[i] as f64 / self.completed[i] as f64
+                    },
+                    mean_ms: self.latency[i].mean_ms(),
+                    p99_ms: self.latency[i].quantile_ms(0.99),
+                })
+                .collect(),
+        }
+    }
 
-    ServingReport {
-        duration_s: config.duration_s,
-        services: specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| ServiceReport {
-                service_id: spec.id,
-                offered: offered[i],
-                completed: completed[i],
-                batches: batches[i],
-                violated_batches: violated[i],
-                completed_within_slo: within_slo[i],
-                latency: std::mem::take(&mut latency[i]),
-                rejected: rejected[i],
-                timeouts: res.as_ref().map_or(0, |r| r.timeouts[i]),
-                retries: res.as_ref().map_or(0, |r| r.retries[i]),
-                shed: res.as_ref().map_or(0, |r| r.shed[i]),
-                hedges: res.as_ref().map_or(0, |r| r.hedges[i]),
-                hedge_wins: res.as_ref().map_or(0, |r| r.hedge_wins[i]),
-            })
-            .collect(),
-        servers: server_reports,
-        classes: class_reports,
-        recovery: rec_report,
-        tenants: tenant_reports,
+    /// Epochs completed so far.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Current simulation time.
+    #[must_use]
+    pub fn now(&self) -> SimTime {
+        self.q.now()
+    }
+
+    /// The services served, in engine order.
+    #[must_use]
+    pub fn specs(&self) -> &[ServiceSpec] {
+        &self.specs
+    }
+
+    /// Per-service observations of the last completed epoch (empty before
+    /// the first [`Engine::step_epoch`]).
+    #[must_use]
+    pub fn last_epoch(&self) -> &[EpochObservation] {
+        &self.last_epoch
+    }
+
+    /// Requests waiting in server queues.
+    #[must_use]
+    pub fn queue_depth(&self) -> usize {
+        self.servers.iter().map(|s| s.queue.len()).sum()
+    }
+
+    /// Servers currently dark (recovery outstanding on their GPU).
+    #[must_use]
+    pub fn dark_servers(&self) -> usize {
+        self.servers.iter().filter(|s| s.dark).count()
     }
 }
 
@@ -1993,9 +2075,7 @@ pub(crate) fn run_simulation<S: TraceSink>(
 mod tests {
     use super::*;
 
-    /// Test-local shorthand for the builder chain (the deprecated shims
-    /// have their own equivalence proptests; behavioral tests run through
-    /// the one real entry point).
+    /// Test-local shorthand for the builder chain.
     fn sim(
         d: &Deployment,
         specs: &[ServiceSpec],
@@ -2854,6 +2934,7 @@ mod tests {
                 recovery_pick in 0u32..3,       // 0: no recovery
                 prepared in 0u32..2,
                 start_pick in 0u32..3,          // window start / mid / drain tail
+                epochs in 1u32..40,
             ) {
                 let (d, specs) = if mps == 1 {
                     mps_deployment()
@@ -2911,8 +2992,7 @@ mod tests {
                         .collect(),
                 });
                 // The builder is the real entry point under test; the
-                // frozen reference and the deprecated shim must both
-                // match it byte for byte.
+                // frozen reference must match it byte for byte.
                 let fast = crate::Simulation::new(&d, &specs)
                     .ingress(&ingress)
                     .recovery_opt(recovery.as_ref())
@@ -2925,17 +3005,29 @@ mod tests {
                     recovery.as_ref(),
                     &config,
                 );
-                #[allow(deprecated)]
-                let shim =
-                    super::simulate_with_recovery(&d, &specs, &ingress, recovery.as_ref(), &config);
                 let fast_json = serde_json::to_string(&fast).expect("serializable");
                 prop_assert_eq!(
                     &fast_json,
                     &serde_json::to_string(&slow).expect("serializable")
                 );
+                // Epoch boundaries are bounds on the one event loop, not
+                // events: the same engine advanced epoch by epoch to the
+                // window's end reports byte for byte what one advance does.
+                let mut stepped = crate::Simulation::new(&d, &specs)
+                    .ingress(&ingress)
+                    .recovery_opt(recovery.as_ref())
+                    .config(&config)
+                    .engine();
+                let win_end = stepped.win_end;
+                let epoch_us = win_end.micros() / u64::from(epochs) + 1;
+                while stepped.now() + SimTime(epoch_us) < win_end {
+                    stepped.step_epoch(epoch_us, &mut parva_obs::NullSink);
+                }
+                stepped.advance_to(win_end, &mut parva_obs::NullSink);
                 prop_assert_eq!(
                     &fast_json,
-                    &serde_json::to_string(&shim).expect("serializable")
+                    &serde_json::to_string(&stepped.report(&mut parva_obs::NullSink))
+                        .expect("serializable")
                 );
                 // Observation is behavior-neutral: the same run under a
                 // recording sink (tracing + gauge sampling on) must
@@ -3166,5 +3258,69 @@ mod tests {
         }
         // No sampling was armed: no gauge rows.
         assert!(rec.metrics.is_empty());
+    }
+
+    /// An engine serving forever, stepped by the caller (the daemon's
+    /// shape), on a two-service ParvaGPU plan.
+    fn serving_forever(seed: u64) -> (Engine, Deployment) {
+        let book = ProfileBook::builtin();
+        let specs = [
+            ServiceSpec::new(1, parva_perf::Model::ResNet50, 400.0, 40.0),
+            ServiceSpec::new(2, parva_perf::Model::BertLarge, 150.0, 100.0),
+        ];
+        let d = ParvaGpu::new(&book).schedule(&specs).unwrap();
+        let engine = crate::Simulation::new(&d, &specs)
+            .window(0.0, f64::MAX, 0.0)
+            .seed(seed)
+            .engine();
+        (engine, d)
+    }
+
+    #[test]
+    fn demand_multiplier_scales_observed_arrivals() {
+        let (mut eng, _) = serving_forever(11);
+        let sink = &mut parva_obs::NullSink;
+        let base: u64 = eng
+            .step_epoch(500_000, sink)
+            .iter()
+            .map(|o| o.offered)
+            .sum();
+        eng.set_demand_multiplier(&[3.0, 3.0]);
+        eng.step_epoch(500_000, sink);
+        let scaled: u64 = eng
+            .step_epoch(500_000, sink)
+            .iter()
+            .map(|o| o.offered)
+            .sum();
+        assert!(
+            scaled as f64 > base as f64 * 2.0,
+            "3x demand produced {scaled} vs base {base}"
+        );
+        assert_eq!(eng.epoch(), 3);
+        assert_eq!(eng.now(), SimTime(1_500_000));
+    }
+
+    #[test]
+    fn reconfigure_darkens_recovering_gpus_then_serves_on() {
+        let (mut eng, d) = serving_forever(3);
+        let sink = &mut parva_obs::NullSink;
+        eng.step_epoch(500_000, sink);
+        let specs = eng.specs().to_vec();
+        // One node per GPU: the re-flashes run in parallel (~1 s each).
+        let recovery = recovery_spec(
+            (0..d.gpu_count())
+                .map(|g| op(g, Some(g), true, 1.0))
+                .collect(),
+        );
+        eng.reconfigure(&d, &specs, Some(&recovery), sink);
+        assert!(eng.dark_servers() > 0, "re-sliced GPUs start dark");
+        for _ in 0..4 {
+            eng.step_epoch(500_000, sink);
+        }
+        assert_eq!(eng.dark_servers(), 0, "recovery completed");
+        let last: u64 = eng.last_epoch().iter().map(|o| o.completed).sum();
+        assert!(last > 0, "serving resumed after recovery");
+        let report = eng.stream_report();
+        assert!(report.services.iter().all(|s| s.completed > 0));
     }
 }

@@ -1,13 +1,11 @@
 //! The one serving-simulation entry point: a borrowing builder.
 //!
-//! Four PRs of organic growth left three parallel free functions
-//! (`simulate`, `simulate_with_ingress`, `simulate_with_recovery`), each
-//! forking the signature for one more axis. [`Simulation`] replaces them:
-//! every axis — window shape, seed, arrival process, ingress classes,
-//! recovery work — is an independent builder method, and [`Simulation::run`]
-//! drives the same optimized engine they all shared. The legacy functions
-//! survive as deprecated shims that delegate here and are property-tested
-//! byte-identical to the equivalent builder chain.
+//! Every axis — window shape, seed, arrival process, ingress classes,
+//! recovery work, tenants, resilience — is an independent builder method.
+//! [`Simulation::run`] builds the serving [`Engine`], advances it to the
+//! end of the measurement window and reports; [`Simulation::engine`] hands
+//! the built engine to callers that advance it themselves (epoch by epoch,
+//! reconfiguring in between — the `parvad` daemon).
 //!
 //! ```
 //! use parva_serve::Simulation;
@@ -23,7 +21,7 @@
 use crate::recovery::RecoverySpec;
 use crate::report::ServingReport;
 use crate::resilience::ResilienceSpec;
-use crate::sim::{run_simulation, ArrivalProcess, IngressClass, ServingConfig};
+use crate::sim::{ArrivalProcess, Engine, IngressClass, ServingConfig};
 use parva_deploy::{Deployment, ServiceSpec, Tenant};
 
 /// A configured serving simulation, ready to [`run`](Simulation::run).
@@ -36,14 +34,14 @@ use parva_deploy::{Deployment, ServiceSpec, Tenant};
 /// work, Poisson arrivals.
 #[derive(Debug, Clone)]
 pub struct Simulation<'a> {
-    deployment: &'a Deployment,
-    specs: &'a [ServiceSpec],
-    ingress: &'a [Vec<IngressClass>],
-    recovery: Option<&'a RecoverySpec>,
-    tenants: &'a [Tenant],
-    arrival_overrides: &'a [Option<ArrivalProcess>],
-    resilience: Option<&'a ResilienceSpec>,
-    config: ServingConfig,
+    pub(crate) deployment: &'a Deployment,
+    pub(crate) specs: &'a [ServiceSpec],
+    pub(crate) ingress: &'a [Vec<IngressClass>],
+    pub(crate) recovery: Option<&'a RecoverySpec>,
+    pub(crate) tenants: &'a [Tenant],
+    pub(crate) arrival_overrides: &'a [Option<ArrivalProcess>],
+    pub(crate) resilience: Option<&'a ResilienceSpec>,
+    pub(crate) config: ServingConfig,
 }
 
 impl<'a> Simulation<'a> {
@@ -63,7 +61,9 @@ impl<'a> Simulation<'a> {
     }
 
     /// Set the window shape: warm-up, measurement and drain durations in
-    /// seconds.
+    /// seconds. A `duration_s` of `f64::MAX` keeps the measurement window
+    /// open for good: every request after the warm-up counts (the window
+    /// of a run advanced epoch by epoch for as long as it lives).
     #[must_use]
     pub fn window(mut self, warmup_s: f64, duration_s: f64, drain_s: f64) -> Self {
         self.config.warmup_s = warmup_s;
@@ -185,17 +185,40 @@ impl<'a> Simulation<'a> {
     /// property-tested byte-identical to unobserved ones.
     #[must_use]
     pub fn run_with<S: parva_obs::TraceSink>(&self, sink: &mut S) -> ServingReport {
-        run_simulation(
-            self.deployment,
-            self.specs,
-            self.ingress,
-            self.recovery,
-            self.tenants,
-            self.arrival_overrides,
-            self.resilience,
-            &self.config,
-            sink,
-        )
+        let mut engine = self.engine();
+        let end = engine.win_end;
+        if S::ENABLED {
+            // Stamp the measurement window into the trace: every report
+            // counter covers `[start_us, end_us)`, so offline analyzers
+            // (`parva_obs::analyze`, `parvactl trace audit`) can recompute
+            // the report's accounting from spans alone, without the config.
+            sink.emit(
+                parva_obs::TraceEvent::instant("window", "meta", 0)
+                    .pid(parva_obs::PID_SERVE)
+                    .arg_u64("start_us", engine.win_start.micros())
+                    .arg_u64("end_us", end.micros()),
+            );
+        }
+        let loop_started = std::time::Instant::now();
+        let cpu_started = parva_des::counters::thread_cpu_nanos();
+        engine.advance_to(end, sink);
+        parva_des::counters::record_sim(
+            engine.q.processed(),
+            engine.q.peak_pending(),
+            loop_started.elapsed().as_nanos() as u64,
+            parva_des::counters::thread_cpu_nanos().saturating_sub(cpu_started),
+        );
+        engine.report(sink)
+    }
+
+    /// Build the serving engine without running it: every first arrival
+    /// (and the recovery begin, if any) is scheduled and the clock is at
+    /// zero. Advance it with [`Engine::advance_to`] or
+    /// [`Engine::step_epoch`]; a run advanced to the window's end in any
+    /// number of steps reports exactly what [`Simulation::run`] does.
+    #[must_use]
+    pub fn engine(&self) -> Engine {
+        Engine::new(self)
     }
 }
 

@@ -84,8 +84,8 @@ pub mod prelude {
     pub use parva_region::{run_federation, FederationConfig, FederationReport, FederationSpec};
     pub use parva_scenarios::Scenario;
     pub use parva_serve::{
-        ArrivalProcess, IngressClass, RecoverySpec, ResilienceSpec, ServingConfig, ServingReport,
-        Simulation, StreamEngine,
+        ArrivalProcess, Engine, IngressClass, RecoverySpec, ResilienceSpec, ServingConfig,
+        ServingReport, Simulation,
     };
     pub use parvad::{AutoscalePolicy, Daemon, PodSpec};
 }

@@ -11,7 +11,7 @@
 //!   the whole range from a single-GPU serving run to a multi-region
 //!   chaos federation; [`ScenarioSpec::run`] dispatches to the right
 //!   engine and returns a tagged [`ScenarioReport`].
-//! * [`registry`] — the named built-in specs behind `parvactl run <name>`.
+//! * `registry` — the named built-in specs behind `parvactl run <name>`.
 //!
 //! The spec layer lives in this facade crate (not `parva-scenarios`)
 //! because it sits *above* `fleet` and `region` in the dependency graph —
