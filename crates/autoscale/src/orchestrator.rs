@@ -3,7 +3,7 @@
 use crate::estimator::DemandEstimator;
 use crate::trace::RateTrace;
 use parva_core::{configure, reconfigure, ParvaGpu, Service};
-use parva_deploy::{Deployment, MigDeployment, ScheduleError, ServiceSpec};
+use parva_deploy::{Deployment, DeploymentDiff, MigDeployment, ScheduleError, ServiceSpec};
 use parva_profile::ProfileBook;
 use parva_serve::{ServingConfig, ServingReport, Simulation};
 use serde::{Deserialize, Serialize};
@@ -182,7 +182,11 @@ pub fn run_traced_replan(
         let specs = oracle_specs(&mut estimator, base, trace.multiplier(epoch));
         let services = configure(&specs, scheduler.book(), scheduler.max_procs())?;
         let deployment = parva_core::allocator::allocate(&services, scheduler.allocator_config());
-        let churn = prev.as_ref().map_or(0, |p| diff_count(p, &deployment));
+        let churn = prev.as_ref().map_or(0, |p| {
+            DeploymentDiff::between(p.slots(), deployment.slots())
+                .mig_touched_devices()
+                .len()
+        });
         let report = Simulation::new(&Deployment::Mig(deployment.clone()), &specs)
             .config(serving)
             .run();
@@ -196,25 +200,6 @@ pub fn run_traced_replan(
         prev = Some(deployment);
     }
     Ok(TraceReport { epochs })
-}
-
-fn diff_count(a: &MigDeployment, b: &MigDeployment) -> usize {
-    let n = a.gpu_count().max(b.gpu_count());
-    (0..n)
-        .filter(|&gpu| {
-            let mut xs: Vec<_> = a
-                .segments_on(gpu)
-                .map(|ps| (ps.segment.service_id, ps.placement))
-                .collect();
-            let mut ys: Vec<_> = b
-                .segments_on(gpu)
-                .map(|ps| (ps.segment.service_id, ps.placement))
-                .collect();
-            xs.sort_unstable();
-            ys.sort_unstable();
-            xs != ys
-        })
-        .count()
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parva_core::{reconfigure, ParvaGpu};
-use parva_deploy::ServiceSpec;
+use parva_deploy::{DeploymentDiff, ServiceSpec};
 use parva_mig::GpuModel;
-use parva_nvml::{apply_deployment, apply_diff, diff_deployments, SimNvml};
+use parva_nvml::{apply_deployment, apply_diff, SimNvml};
 use parva_profile::ProfileBook;
 use parva_scenarios::Scenario;
 
@@ -24,7 +24,7 @@ fn bench_nvml(c: &mut Criterion) {
         specs[8].slo.latency_ms,
     );
     let outcome = reconfigure::update_service(&sched, &before, &services, spike).expect("reconfig");
-    let diff = diff_deployments(&before, &outcome.deployment);
+    let diff = DeploymentDiff::between(before.slots(), outcome.deployment.slots());
 
     let mut group = c.benchmark_group("nvml");
     group.bench_function("apply_s2_deployment", |b| {
@@ -34,7 +34,12 @@ fn bench_nvml(c: &mut Criterion) {
         })
     });
     group.bench_function("diff_s2_reconfig", |b| {
-        b.iter(|| diff_deployments(std::hint::black_box(&before), &outcome.deployment))
+        b.iter(|| {
+            DeploymentDiff::between(
+                std::hint::black_box(&before).slots(),
+                outcome.deployment.slots(),
+            )
+        })
     });
     group.bench_function("apply_s2_diff", |b| {
         b.iter(|| {

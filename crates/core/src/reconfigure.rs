@@ -11,7 +11,7 @@ use crate::allocator::{allocation, fill, optimize, AllocatorConfig, SegmentQueue
 use crate::configurator::configure_service;
 use crate::scheduler::ParvaGpu;
 use crate::service::Service;
-use parva_deploy::{MigDeployment, PlacedSegment, ScheduleError, ServiceSpec};
+use parva_deploy::{DeploymentDiff, MigDeployment, PlacedSegment, ScheduleError, ServiceSpec};
 
 /// The result of a reconfiguration step.
 #[derive(Debug, Clone)]
@@ -134,36 +134,15 @@ pub fn update_service(
     }
     new_deployment.compact();
 
-    // 5. Diff the layouts to find GPUs that need physical reconfiguration.
-    let reconfigured_gpus = diff_gpus(deployment, &new_deployment);
+    // 5. Diff the maps to find GPUs that need physical reconfiguration.
+    let reconfigured_gpus =
+        DeploymentDiff::between(deployment.slots(), new_deployment.slots()).mig_touched_devices();
 
     Ok(ReconfigOutcome {
         deployment: new_deployment,
         service: new_service,
         reconfigured_gpus,
     })
-}
-
-/// GPUs whose (segment set, placement) differ between two deployments.
-fn diff_gpus(before: &MigDeployment, after: &MigDeployment) -> Vec<usize> {
-    let n = before.gpu_count().max(after.gpu_count());
-    let mut changed = Vec::new();
-    for gpu in 0..n {
-        let mut b: Vec<(u32, parva_mig::Placement)> = before
-            .segments_on(gpu)
-            .map(|ps| (ps.segment.service_id, ps.placement))
-            .collect();
-        let mut a: Vec<(u32, parva_mig::Placement)> = after
-            .segments_on(gpu)
-            .map(|ps| (ps.segment.service_id, ps.placement))
-            .collect();
-        b.sort_unstable();
-        a.sort_unstable();
-        if a != b {
-            changed.push(gpu);
-        }
-    }
-    changed
 }
 
 #[cfg(test)]

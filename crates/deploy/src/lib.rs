@@ -12,6 +12,9 @@
 //!   MIG-serving).
 //! * [`MpsDeployment`] — fractional MPS partitions on whole GPUs (gpulet,
 //!   iGniter).
+//! * [`DeploymentDiff`] — the §III-F minimal diff between two deployment
+//!   maps: which slots are kept, and the [`ReconfigOp`]s (destroy, create,
+//!   MPS retune) that turn one map into the other.
 //! * [`Scheduler`] — the common trait: services in, deployment out, plus the
 //!   capability matrix of the paper's Table I.
 
@@ -19,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod capability;
+pub mod diff;
 pub mod error;
 pub mod mig_deployment;
 pub mod mps_deployment;
@@ -28,6 +32,7 @@ pub mod service;
 pub mod tenant;
 
 pub use capability::{Capabilities, OverheadClass, SpatialScheduling};
+pub use diff::{DeploymentDiff, ReconfigOp, Slot};
 pub use error::ScheduleError;
 pub use mig_deployment::{MigDeployment, PlacedSegment};
 pub use mps_deployment::{MpsDeployment, MpsGpu, MpsPartition};

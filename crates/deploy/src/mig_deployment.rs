@@ -1,5 +1,6 @@
 //! MIG deployments: segments placed on MIG-partitioned GPUs.
 
+use crate::diff::Slot;
 use crate::segment::Segment;
 use parva_mig::{GpuState, Placement};
 use serde::{Deserialize, Serialize};
@@ -46,6 +47,15 @@ impl MigDeployment {
     #[must_use]
     pub fn segments(&self) -> &[PlacedSegment] {
         &self.segments
+    }
+
+    /// Every occupied slot as (GPU, placement, segment), in the order of
+    /// [`segments`](Self::segments) — the input
+    /// [`DeploymentDiff::between`](crate::DeploymentDiff::between) compares.
+    pub fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.segments
+            .iter()
+            .map(|ps| (ps.gpu, ps.placement, ps.segment))
     }
 
     /// Segments of one service.

@@ -193,6 +193,8 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_ms(15.0)));
     }
 
+    // The check is a `debug_assert!`: release builds compile it out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn past_scheduling_panics_in_debug() {

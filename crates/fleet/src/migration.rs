@@ -9,7 +9,7 @@
 
 use crate::node::{Fleet, GpuSlot};
 use crate::placer::FleetPlacement;
-use parva_deploy::MigDeployment;
+use parva_deploy::{DeploymentDiff, MigDeployment, ReconfigOp, Slot};
 use parva_mig::Placement;
 use parva_perf::PerfParams;
 use parva_serve::{RecoveryOp, RecoverySpec};
@@ -56,122 +56,105 @@ pub struct MigrationPlan {
     pub ops: Vec<RecoveryOp>,
 }
 
-/// One physical segment identity: where it runs and what it is.
-type PhysicalSegment = (GpuSlot, Placement, u32);
-
-fn physical_segments(
-    deployment: &MigDeployment,
-    placement: &FleetPlacement,
-) -> Vec<(PhysicalSegment, f64)> {
+/// The occupied slots of a `(deployment, placement)` state, keyed by the
+/// physical GPU each logical GPU runs on.
+fn physical_slots<'a>(
+    (deployment, placement): (&'a MigDeployment, &'a FleetPlacement),
+) -> impl Iterator<Item = Slot<GpuSlot>> + 'a {
     deployment
-        .segments()
-        .iter()
-        .filter_map(|ps| {
-            placement.slot_of(ps.gpu).map(|slot| {
-                let weights = PerfParams::for_model(ps.segment.model).weights_gib;
-                ((slot, ps.placement, ps.segment.service_id), weights)
-            })
-        })
-        .collect()
+        .slots()
+        .filter_map(|(gpu, p, segment)| placement.slot_of(gpu).map(|slot| (slot, p, segment)))
 }
 
-/// Per-physical-GPU layout (multiset of placements).
-fn layouts(
-    deployment: &MigDeployment,
-    placement: &FleetPlacement,
-) -> BTreeMap<GpuSlot, Vec<Placement>> {
-    let mut map: BTreeMap<GpuSlot, Vec<Placement>> = BTreeMap::new();
-    for ps in deployment.segments() {
-        if let Some(slot) = placement.slot_of(ps.gpu) {
-            map.entry(slot).or_default().push(ps.placement);
-        }
-    }
-    for v in map.values_mut() {
-        v.sort_unstable();
-    }
-    map
+/// One physical GPU's share of a diff: placements torn down, placements
+/// built, and the weights the built segments load, GiB.
+#[derive(Default)]
+struct GpuChange {
+    destroyed: Vec<Placement>,
+    created: Vec<Placement>,
+    copy_gib: f64,
 }
 
 impl MigrationPlan {
     /// Diff two `(deployment, placement)` states into a migration plan.
+    ///
+    /// A segment "stays" when the same service holds the same placement
+    /// on the same physical GPU before and after; every created segment
+    /// migrated and reloads its weights there. A GPU re-flashes when the
+    /// placements torn down and built on it differ as multisets — a
+    /// service swap inside an unchanged layout only copies weights.
     #[must_use]
     pub fn between(
         before: (&MigDeployment, &FleetPlacement),
         after: (&MigDeployment, &FleetPlacement),
         fleet: &Fleet,
     ) -> Self {
-        let old: Vec<(PhysicalSegment, f64)> = physical_segments(before.0, before.1);
-        let new: Vec<(PhysicalSegment, f64)> = physical_segments(after.0, after.1);
-
-        // A segment "stays" when an identical physical identity existed
-        // before; extras (count-aware) are migrations/new launches.
-        let mut old_counts: BTreeMap<PhysicalSegment, usize> = BTreeMap::new();
-        for (k, _) in &old {
-            *old_counts.entry(*k).or_insert(0) += 1;
-        }
+        let diff = DeploymentDiff::between(physical_slots(before), physical_slots(after));
+        let mut changes: BTreeMap<GpuSlot, GpuChange> = BTreeMap::new();
         let mut migrated = 0usize;
         let mut weight_copy_gib = 0.0;
-        let mut per_gpu_copy: BTreeMap<GpuSlot, f64> = BTreeMap::new();
-        for (k, weights) in &new {
-            match old_counts.get_mut(k) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => {
+        for op in &diff.ops {
+            match *op {
+                ReconfigOp::Destroy {
+                    device, placement, ..
+                } => changes.entry(device).or_default().destroyed.push(placement),
+                ReconfigOp::Create {
+                    device,
+                    placement,
+                    segment,
+                } => {
+                    let weights = PerfParams::for_model(segment.model).weights_gib;
                     migrated += 1;
                     weight_copy_gib += weights;
-                    *per_gpu_copy.entry(k.0).or_insert(0.0) += weights;
+                    let change = changes.entry(device).or_default();
+                    change.created.push(placement);
+                    change.copy_gib += weights;
                 }
+                ReconfigOp::RetuneMps { .. } => {}
             }
         }
 
-        let old_layouts = layouts(before.0, before.1);
-        let new_layouts = layouts(after.0, after.1);
+        // GPCs in use per physical GPU after recovery; its keys are the
+        // GPUs still occupied.
+        let mut used: BTreeMap<GpuSlot, u32> = BTreeMap::new();
+        for (slot, _, segment) in physical_slots(after) {
+            *used.entry(slot).or_insert(0) += u32::from(segment.gpcs());
+        }
         // Physical slot → logical GPU of the recovered map (placements are
         // injective: each logical GPU owns one slot).
         let logical_of: BTreeMap<GpuSlot, usize> =
             after.1.slots.iter().map(|&(l, s)| (s, l)).collect();
-        let mut reflashed = 0usize;
-        let mut reflashed_slots: Vec<GpuSlot> = Vec::new();
-        for (slot, layout) in &new_layouts {
-            if old_layouts.get(slot) != Some(layout) {
-                reflashed += 1;
-                reflashed_slots.push(*slot);
-            }
-        }
-        // GPUs that went fully dark on *surviving* nodes also re-flash to
-        // empty; dead nodes' GPUs do not — nobody is left to flash them.
-        let mut vacated_slots: Vec<GpuSlot> = Vec::new();
-        for slot in old_layouts.keys() {
-            if !new_layouts.contains_key(slot) && fleet.node(slot.node).alive {
-                reflashed += 1;
-                vacated_slots.push(*slot);
-            }
-        }
 
-        // Lower the physical work to per-GPU recovery ops, slot order.
+        // Lower the physical work to per-GPU recovery ops, slot order. GPUs
+        // that went fully dark on *surviving* nodes re-flash to empty after
+        // them; dead nodes' GPUs do not — nobody is left to flash them.
         let mut ops: Vec<RecoveryOp> = Vec::new();
-        let affected: std::collections::BTreeSet<GpuSlot> = reflashed_slots
-            .iter()
-            .chain(per_gpu_copy.keys())
-            .copied()
-            .collect();
-        for slot in affected {
+        let mut vacated: Vec<RecoveryOp> = Vec::new();
+        for (slot, mut change) in changes {
+            if !used.contains_key(&slot) {
+                if fleet.node(slot.node).alive {
+                    vacated.push(RecoveryOp {
+                        node: slot.node,
+                        logical_gpu: None,
+                        reflash: true,
+                        copy_gib: 0.0,
+                        prepared: false,
+                    });
+                }
+                continue;
+            }
+            change.destroyed.sort_unstable();
+            change.created.sort_unstable();
             ops.push(RecoveryOp {
                 node: slot.node,
                 logical_gpu: logical_of.get(&slot).copied(),
-                reflash: reflashed_slots.contains(&slot),
-                copy_gib: per_gpu_copy.get(&slot).copied().unwrap_or(0.0),
+                reflash: change.destroyed != change.created,
+                copy_gib: change.copy_gib,
                 prepared: false,
             });
         }
-        for slot in vacated_slots {
-            ops.push(RecoveryOp {
-                node: slot.node,
-                logical_gpu: None,
-                reflash: true,
-                copy_gib: 0.0,
-                prepared: false,
-            });
-        }
+        ops.extend(vacated);
+        let reflashed = ops.iter().filter(|o| o.reflash).count();
 
         // Worst per-node re-flash queue (NVML serializes within a node).
         let mut per_node_reflash: BTreeMap<usize, usize> = BTreeMap::new();
@@ -180,20 +163,13 @@ impl MigrationPlan {
         }
         let reflash_waves = per_node_reflash.values().copied().max().unwrap_or(0);
 
-        let stranded_gpcs: u32 = {
-            let mut used: BTreeMap<GpuSlot, u32> = BTreeMap::new();
-            for ps in after.0.segments() {
-                if let Some(slot) = after.1.slot_of(ps.gpu) {
-                    *used.entry(slot).or_insert(0) += u32::from(ps.segment.gpcs());
-                }
-            }
-            used.values()
-                .map(|&gpcs| u32::from(parva_mig::COMPUTE_SLICES).saturating_sub(gpcs))
-                .sum()
-        };
+        let stranded_gpcs: u32 = used
+            .values()
+            .map(|&gpcs| u32::from(parva_mig::COMPUTE_SLICES).saturating_sub(gpcs))
+            .sum();
 
         let worst_copy_s =
-            per_gpu_copy.values().fold(0.0f64, |a, &b| a.max(b)) / WEIGHT_COPY_GIB_PER_S;
+            ops.iter().fold(0.0f64, |a, o| a.max(o.copy_gib)) / WEIGHT_COPY_GIB_PER_S;
         let recovery_latency_ms =
             CONTROL_PLANE_MS + reflash_waves as f64 * MIG_REFLASH_MS + worst_copy_s * 1_000.0;
 
@@ -338,6 +314,38 @@ mod tests {
         assert_eq!(plan.reflashed_gpus, 0);
         assert_eq!(plan.weight_copy_gib, 0.0);
         assert!((plan.recovery_latency_ms - CONTROL_PLANE_MS).abs() < 1e-9);
+    }
+
+    #[test]
+    fn service_swap_inside_an_unchanged_layout_copies_without_reflash() {
+        // Another service takes over logical GPU 1's instance at the same
+        // placement: the MIG layout is untouched, only its weights load.
+        let fleet = Fleet::provision(&FleetSpec::mixed_demo(1));
+        let before = deployment(2);
+        let p = place_on_fleet(&before, &fleet).unwrap();
+        let mut after = before.clone();
+        let old = after.segments()[1];
+        let mut swapped = after.remove(old.gpu, old.placement).unwrap();
+        swapped.service_id = 7;
+        swapped.model = Model::BertLarge;
+        after.place_at(swapped, old.gpu, old.placement).unwrap();
+
+        let plan = MigrationPlan::between((&before, &p), (&after, &p), &fleet);
+        assert_eq!(plan.migrated_segments, 1);
+        assert_eq!(plan.reflashed_gpus, 0);
+        assert_eq!(plan.reflash_waves, 0);
+        let weights = PerfParams::for_model(Model::BertLarge).weights_gib;
+        assert_eq!(plan.weight_copy_gib, weights);
+        assert_eq!(
+            plan.ops,
+            vec![RecoveryOp {
+                node: p.slot_of(old.gpu).unwrap().node,
+                logical_gpu: Some(old.gpu),
+                reflash: false,
+                copy_gib: weights,
+                prepared: false,
+            }]
+        );
     }
 
     fn plan_with_ops(ops: Vec<RecoveryOp>) -> MigrationPlan {

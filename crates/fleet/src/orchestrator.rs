@@ -34,7 +34,7 @@ use parva_core::allocator::{allocation, fill, optimize, SegmentQueues};
 use parva_core::{reconfigure, ParvaGpu, Service};
 use parva_deploy::{tenant_of, Deployment, MigDeployment, ScheduleError, ServiceSpec, Tenant};
 use parva_des::RngStream;
-use parva_obs::{Recorder, Row, SelfProfiler, TraceEvent, TraceSink, PID_FLEET};
+use parva_obs::{Row, SelfProfiler, TraceEvent, TraceSink, PID_FLEET};
 use parva_profile::ProfileBook;
 use parva_serve::{RecoverySpec, ResilienceSpec, ServingConfig, ServingReport, Simulation};
 use std::collections::BTreeMap;
@@ -1015,7 +1015,7 @@ pub fn run_chaos(
     fleet_spec: &FleetSpec,
     config: &FleetConfig,
 ) -> Result<FleetReport, FleetError> {
-    run_chaos_with(
+    run_chaos_sink(
         book,
         specs,
         fleet_spec,
@@ -1024,37 +1024,6 @@ pub fn run_chaos(
         false,
     )
     .map(|(report, _)| report)
-}
-
-/// [`run_chaos`] under an observer: the identical chaos trace (the
-/// report is property-tested equal to the unobserved run), plus, per
-/// interval, orchestrator *decision* trace events — the injected event,
-/// a `probe` instant carrying the simulation-cache hit/miss delta of
-/// the interval's compliance-probe fan-out, and a `migrate` span
-/// covering the recovery latency — and one gauge row with the interval's
-/// compliance trajectory, migration volume and fleet cost. Interval `n`
-/// is mapped onto the trace timeline at `n × serving-window` so stacked
-/// intervals render side by side in Perfetto. The recorder also absorbs
-/// the orchestrator's phase self-profile (schedule / plan /
-/// probe-fanout / merge).
-///
-/// The serving probes themselves stay unobserved: they are memoized
-/// content-addressed snapshots (interior spans would be misattributed
-/// across cache hits). Use [`parva_serve::Simulation::run_with`] for
-/// request-level spans of a single window.
-///
-/// # Errors
-/// Propagates bootstrap and recovery failures ([`FleetError`]).
-pub fn run_chaos_observed(
-    book: &ProfileBook,
-    specs: &[ServiceSpec],
-    fleet_spec: &FleetSpec,
-    config: &FleetConfig,
-    rec: &mut Recorder,
-) -> Result<FleetReport, FleetError> {
-    let (report, profile) = run_chaos_with(book, specs, fleet_spec, config, rec, true)?;
-    rec.profile.absorb(&profile);
-    Ok(report)
 }
 
 /// Static label for an event kind, as stamped into trace events and the
@@ -1078,31 +1047,34 @@ fn interval_us(serving: &ServingConfig) -> u64 {
     ((serving.warmup_s + serving.duration_s + serving.drain_s) * 1e6) as u64
 }
 
-/// [`run_chaos`] under an arbitrary [`TraceSink`] — the generic engine
-/// behind both the plain and recorded runs. Streaming callers (the
-/// scenario layer's `--stream` path) hand a sink that retires events to
-/// disk as they land; `profile` enables the orchestrator phase
-/// self-profile, returned alongside the report.
+/// [`run_chaos`] under a [`TraceSink`]: the identical chaos trace (the
+/// report is property-tested equal to the unobserved run), plus, per
+/// interval, orchestrator *decision* trace events — the injected event,
+/// a `probe` instant carrying the simulation-cache hit/miss delta of
+/// the interval's compliance-probe fan-out, and a `migrate` span
+/// covering the recovery latency — and one gauge row with the interval's
+/// compliance trajectory, migration volume and fleet cost. Interval `n`
+/// is mapped onto the trace timeline at `n × serving-window` so stacked
+/// intervals render side by side in Perfetto. `profile` enables the
+/// orchestrator's phase self-profile (schedule / plan / probe-fanout /
+/// merge), returned alongside the report; a [`parva_obs::Recorder`]
+/// caller absorbs it into `rec.profile`. Streaming callers (the scenario
+/// layer's `--stream` path) hand a sink that retires events to disk as
+/// they land.
+///
+/// The serving probes themselves stay unobserved: they are memoized
+/// content-addressed snapshots (interior spans would be misattributed
+/// across cache hits). Use [`parva_serve::Simulation::run_with`] for
+/// request-level spans of a single window.
 ///
 /// # Errors
 /// Propagates bootstrap and recovery failures ([`FleetError`]).
-pub fn run_chaos_sink<S: TraceSink>(
-    book: &ProfileBook,
-    specs: &[ServiceSpec],
-    fleet_spec: &FleetSpec,
-    config: &FleetConfig,
-    sink: &mut S,
-    profile: bool,
-) -> Result<(FleetReport, SelfProfiler), FleetError> {
-    run_chaos_with(book, specs, fleet_spec, config, sink, profile)
-}
-
 #[allow(
     clippy::cast_precision_loss,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss
 )]
-fn run_chaos_with<S: TraceSink>(
+pub fn run_chaos_sink<S: TraceSink>(
     book: &ProfileBook,
     specs: &[ServiceSpec],
     fleet_spec: &FleetSpec,
@@ -1277,6 +1249,7 @@ fn emit_billing_gauges<S: TraceSink>(sink: &mut S, rows: &[BillingRow], interval
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parva_obs::Recorder;
 
     fn base_specs() -> Vec<ServiceSpec> {
         crate::demo_services()
@@ -1422,8 +1395,14 @@ mod tests {
         let cfg = quick_config(1234, 4);
         let plain = run_chaos(&book, &base_specs(), &spec, &cfg).unwrap();
 
+        let observed = |rec: &mut Recorder| {
+            let (report, profile) =
+                run_chaos_sink(&book, &base_specs(), &spec, &cfg, rec, true).unwrap();
+            rec.profile.absorb(&profile);
+            report
+        };
         let mut rec_a = Recorder::new(0);
-        let a = run_chaos_observed(&book, &base_specs(), &spec, &cfg, &mut rec_a).unwrap();
+        let a = observed(&mut rec_a);
         assert_eq!(plain, a, "observation must not change the report");
 
         // One gauge row per interval plus the baseline row.
@@ -1443,7 +1422,7 @@ mod tests {
         }
         // Deterministic artifacts: byte-identical across runs.
         let mut rec_b = Recorder::new(0);
-        let b = run_chaos_observed(&book, &base_specs(), &spec, &cfg, &mut rec_b).unwrap();
+        let b = observed(&mut rec_b);
         assert_eq!(a, b);
         assert_eq!(rec_a.chrome_trace(), rec_b.chrome_trace());
         assert_eq!(rec_a.metrics_jsonl(), rec_b.metrics_jsonl());

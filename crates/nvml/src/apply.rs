@@ -1,14 +1,16 @@
-//! Executing a deployment map against the simulated fleet.
+//! Executing deployment maps and diffs against the simulated fleet.
 //!
 //! This is the paper's "Deployment" stage (Fig. 2): once the Segment
 //! Allocator returns `optimized G`, ParvaGPU "reconfigures the MIG and MPS
 //! of the physical GPUs and then launches inference servers". Here the
 //! physical GPUs are [`SimNvml`] devices and the launch is the MPS process
-//! count on each instance.
+//! count on each instance. A fresh map goes through [`apply_deployment`];
+//! a change to a live map goes through [`apply_diff`], which executes the
+//! §III-F minimal [`DeploymentDiff`] and nothing else.
 
 use crate::device::{InstanceId, SimNvml};
 use crate::error::NvmlError;
-use parva_deploy::MigDeployment;
+use parva_deploy::{DeploymentDiff, MigDeployment, ReconfigOp};
 use parva_mig::Placement;
 use serde::{Deserialize, Serialize};
 
@@ -32,7 +34,7 @@ pub struct AppliedInstance {
 /// launch its MPS processes. The fleet grows if the map needs more devices.
 ///
 /// The fleet must be clean (no live instances); incremental changes go
-/// through [`crate::diff`] instead.
+/// through [`apply_diff`] instead.
 ///
 /// # Errors
 /// Propagates any NVML error; on error the fleet is left as far as the
@@ -60,6 +62,54 @@ pub fn apply_deployment(
         });
     }
     Ok(applied)
+}
+
+/// Execute a diff against the live fleet, in op order (destroys free the
+/// slices the creates need).
+///
+/// # Errors
+/// Propagates NVML errors (stale handles, placement conflicts). The fleet
+/// must currently realize the diff's `old` side.
+pub fn apply_diff(nvml: &mut SimNvml, diff: &DeploymentDiff) -> Result<(), NvmlError> {
+    // Resolve (device, placement) → handle for destroys/retunes.
+    let lookup = |nvml: &SimNvml, device: usize, placement: Placement| {
+        nvml.instances()
+            .iter()
+            .find(|i| i.device == device && i.placement == placement)
+            .map(|i| i.id)
+            .ok_or(NvmlError::UnknownInstance { id: 0 })
+    };
+    for op in &diff.ops {
+        match op {
+            ReconfigOp::Destroy {
+                device, placement, ..
+            } => {
+                let id = lookup(nvml, *device, *placement)?;
+                nvml.destroy_gpu_instance(id)?;
+            }
+            ReconfigOp::Create {
+                device,
+                placement,
+                segment,
+            } => {
+                if *device >= nvml.device_count() {
+                    nvml.grow(*device + 1 - nvml.device_count());
+                }
+                nvml.set_mig_mode(*device, true)?;
+                let id = nvml.create_gpu_instance_at(*device, *placement)?;
+                nvml.set_mps_processes(id, segment.triplet.procs)?;
+            }
+            ReconfigOp::RetuneMps {
+                device,
+                placement,
+                procs,
+            } => {
+                let id = lookup(nvml, *device, *placement)?;
+                nvml.set_mps_processes(id, *procs)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Whether the live fleet realizes exactly the deployment map: every used
@@ -169,6 +219,37 @@ mod tests {
         nvml.set_mig_mode(2, true).unwrap();
         nvml.create_gpu_instance(2, InstanceProfile::G1).unwrap();
         assert!(!fleet_matches(&nvml, &d), "stray instance on device 2");
+    }
+
+    fn diff(old: &MigDeployment, new: &MigDeployment) -> DeploymentDiff {
+        DeploymentDiff::between(old.slots(), new.slots())
+    }
+
+    #[test]
+    fn apply_diff_converges_fleet_to_new_map() {
+        let old = two_gpu_deployment();
+        let mut new = MigDeployment::new();
+        new.place_first_fit(seg(0, InstanceProfile::G4, 2));
+        new.place_first_fit(seg(5, InstanceProfile::G3, 2)); // new service
+        new.place_first_fit(seg(2, InstanceProfile::G7, 3)); // retune
+
+        let mut nvml = SimNvml::new(1, GpuModel::A100_80GB);
+        apply_deployment(&mut nvml, &old).unwrap();
+        apply_diff(&mut nvml, &diff(&old, &new)).unwrap();
+        assert!(nvml.validate());
+        assert!(fleet_matches(&nvml, &new));
+    }
+
+    #[test]
+    fn apply_diff_grows_the_fleet_for_new_devices() {
+        let old = MigDeployment::new();
+        let mut new = MigDeployment::new();
+        new.place_first_fit(seg(0, InstanceProfile::G7, 1));
+        new.place_first_fit(seg(1, InstanceProfile::G7, 1));
+        let mut nvml = SimNvml::new(0, GpuModel::A100_80GB);
+        apply_diff(&mut nvml, &diff(&old, &new)).unwrap();
+        assert_eq!(nvml.device_count(), 2);
+        assert!(fleet_matches(&nvml, &new));
     }
 
     #[test]

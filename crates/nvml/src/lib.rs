@@ -16,11 +16,11 @@
 //!   windowed sampling, the counters behind the paper's Eq. 3 internal-slack
 //!   metric (§IV-B2 cites DCGM's SM-activity semantics directly);
 //! * [`apply`] — executing a [`parva_deploy::MigDeployment`] against the
-//!   fleet, translating the deployment map into instance operations;
-//! * [`diff`] — **minimal-diff reconfiguration** (paper §III-F: "services
-//!   whose placement has not changed do not require reconfiguration"):
-//!   computing the smallest set of destroy/create operations between two
-//!   deployment maps and applying only those;
+//!   fleet, translating the deployment map into instance operations, and
+//!   executing the **minimal-diff reconfiguration** (paper §III-F:
+//!   "services whose placement has not changed do not require
+//!   reconfiguration") that [`parva_deploy::DeploymentDiff`] computes
+//!   between two deployment maps — only its destroy/create/retune ops;
 //! * [`reconcile`](mod@reconcile) — level-based repair: observe the live
 //!   fleet, diff it against the target map, converge — so manual
 //!   deletions, driver resets and stray instances are healed idempotently.
@@ -33,14 +33,12 @@
 
 pub mod apply;
 pub mod device;
-pub mod diff;
 pub mod error;
 pub mod reconcile;
 pub mod telemetry;
 
-pub use apply::{apply_deployment, fleet_matches, AppliedInstance};
+pub use apply::{apply_deployment, apply_diff, fleet_matches, AppliedInstance};
 pub use device::{Device, GpuInstance, InstanceId, SimNvml};
-pub use diff::{apply_diff, diff_deployments, DeploymentDiff, ReconfigOp};
 pub use error::NvmlError;
 pub use reconcile::{reconcile, reconcile_plan, ReconcileReport};
 pub use telemetry::{FieldId, FieldSample, TelemetryStore};

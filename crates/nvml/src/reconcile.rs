@@ -1,6 +1,6 @@
 //! Level-based reconciliation: observed fleet state vs the deployment map.
 //!
-//! [`crate::apply`] and [`crate::diff`] are edge-triggered — they assume the
+//! [`crate::apply`] and its diffs are edge-triggered — they assume the
 //! fleet is exactly where the last operation left it. Real fleets drift:
 //! an operator deletes an instance by hand, a driver reset wipes a device,
 //! a stray experiment leaves an instance behind. The reconciler closes the
@@ -8,10 +8,10 @@
 //! *compare* against the target deployment map, and emit exactly the
 //! operations that converge the fleet — repeatedly safe, idempotent.
 
+use crate::apply::apply_diff;
 use crate::device::SimNvml;
-use crate::diff::{apply_diff, DeploymentDiff, ReconfigOp};
 use crate::error::NvmlError;
-use parva_deploy::MigDeployment;
+use parva_deploy::{DeploymentDiff, MigDeployment, ReconfigOp};
 use serde::{Deserialize, Serialize};
 
 /// What the reconciler found and did.
@@ -35,7 +35,7 @@ impl ReconcileReport {
 
 /// Compute the operations converging the live fleet to `target`.
 ///
-/// Unlike [`crate::diff::diff_deployments`], the "old" side here is the
+/// Unlike [`DeploymentDiff::between`], the "old" side here is the
 /// *observed* fleet — so drift of any origin is repaired, not just drift
 /// the caller knows about.
 #[must_use]

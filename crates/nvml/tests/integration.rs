@@ -2,9 +2,9 @@
 //! NVML fleet — schedule → apply → reconfigure → minimal diff (§III-F).
 
 use parva_core::{reconfigure, ParvaGpu};
-use parva_deploy::ServiceSpec;
+use parva_deploy::{DeploymentDiff, ReconfigOp, ServiceSpec};
 use parva_mig::GpuModel;
-use parva_nvml::{apply_deployment, apply_diff, diff_deployments, fleet_matches, SimNvml};
+use parva_nvml::{apply_deployment, apply_diff, fleet_matches, SimNvml};
 use parva_profile::ProfileBook;
 use parva_scenarios::Scenario;
 
@@ -39,7 +39,7 @@ fn slo_change_reconfigures_minimally() {
     let outcome =
         reconfigure::update_service(&scheduler, &before, &services, updated).expect("reconfig");
 
-    let diff = diff_deployments(&before, &outcome.deployment);
+    let diff = DeploymentDiff::between(before.slots(), outcome.deployment.slots());
 
     // §III-F: MIG-level reconfiguration must be confined to the GPUs the
     // reconfigurator reports as changed. (MPS retunes — same instance, new
@@ -68,9 +68,7 @@ fn slo_change_reconfigures_minimally() {
         .ops
         .iter()
         .filter(|op| match op {
-            parva_nvml::ReconfigOp::RetuneMps { device, .. } => {
-                !outcome.reconfigured_gpus.contains(device)
-            }
+            ReconfigOp::RetuneMps { device, .. } => !outcome.reconfigured_gpus.contains(device),
             _ => false,
         })
         .count();
@@ -93,7 +91,7 @@ fn unchanged_slo_means_zero_ops() {
     // "Update" a service to its identical spec.
     let outcome = reconfigure::update_service(&scheduler, &before, &services, specs[0])
         .expect("no-op reconfig");
-    let diff = diff_deployments(&before, &outcome.deployment);
+    let diff = DeploymentDiff::between(before.slots(), outcome.deployment.slots());
     assert!(
         diff.ops.is_empty(),
         "no-op update must not touch the fleet: {:?}",
@@ -123,7 +121,7 @@ fn fresh_schedule_vs_diff_converge_to_same_fleet() {
     apply_deployment(&mut via_diff, &before).unwrap();
     apply_diff(
         &mut via_diff,
-        &diff_deployments(&before, &outcome.deployment),
+        &DeploymentDiff::between(before.slots(), outcome.deployment.slots()),
     )
     .unwrap();
 

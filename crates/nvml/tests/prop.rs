@@ -1,8 +1,9 @@
-//! Property tests: apply/diff correctness over arbitrary deployment maps.
+//! Property tests: applying maps and diffs over arbitrary deployment maps.
+//! (The diff's own properties live with it, in `parva-deploy`.)
 
-use parva_deploy::{MigDeployment, Segment};
+use parva_deploy::{DeploymentDiff, MigDeployment, Segment};
 use parva_mig::{GpuModel, InstanceProfile};
-use parva_nvml::{apply_deployment, apply_diff, diff_deployments, fleet_matches, SimNvml};
+use parva_nvml::{apply_deployment, apply_diff, fleet_matches, SimNvml};
 use parva_perf::Model;
 use parva_profile::Triplet;
 use proptest::prelude::*;
@@ -54,34 +55,9 @@ proptest! {
     ) {
         let mut nvml = SimNvml::new(0, GpuModel::A100_80GB);
         apply_deployment(&mut nvml, &old).expect("old applies");
-        let diff = diff_deployments(&old, &new);
+        let diff = DeploymentDiff::between(old.slots(), new.slots());
         apply_diff(&mut nvml, &diff).expect("diff applies");
         prop_assert!(nvml.validate());
         prop_assert!(fleet_matches(&nvml, &new));
-    }
-
-    #[test]
-    fn self_diff_is_empty(d in arb_deployment(24)) {
-        let diff = diff_deployments(&d, &d);
-        prop_assert!(diff.ops.is_empty());
-        prop_assert_eq!(diff.kept.len(), d.segments().len());
-    }
-
-    #[test]
-    fn diff_op_count_bounded_by_slot_changes(
-        old in arb_deployment(16),
-        new in arb_deployment(16),
-    ) {
-        // Minimality (upper bound): never more ops than tearing everything
-        // down and rebuilding, and kept slots are never double-counted.
-        let diff = diff_deployments(&old, &new);
-        prop_assert!(diff.ops.len() <= old.segments().len() + new.segments().len());
-        prop_assert!(
-            diff.kept.len() <= old.segments().len().min(new.segments().len())
-        );
-        // Conservation: every old slot is kept, retuned or destroyed.
-        let destroys = diff.ops.iter().filter(|o| matches!(o, parva_nvml::ReconfigOp::Destroy { .. })).count();
-        let retunes = diff.ops.iter().filter(|o| matches!(o, parva_nvml::ReconfigOp::RetuneMps { .. })).count();
-        prop_assert_eq!(diff.kept.len() + retunes + destroys, old.segments().len());
     }
 }

@@ -238,11 +238,10 @@ fn poll_control(listener: &TcpListener, daemon: &mut Daemon) {
 fn handle_connection(mut stream: TcpStream, daemon: &mut Daemon) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
-    let Some((method, path, body)) = read_request(&mut stream) else {
-        respond(&mut stream, 400, "{\"error\":\"malformed request\"}");
-        return;
+    let (code, reply) = match read_request(&mut stream) {
+        Ok((method, path, body)) => dispatch(daemon, &method, &path, &body),
+        Err(refusal) => refusal,
     };
-    let (code, reply) = dispatch(daemon, &method, &path, &body);
     respond(&mut stream, code, &reply);
 }
 
@@ -293,46 +292,60 @@ fn quote_json(s: &str) -> String {
     serde_json::to_string(&s).unwrap_or_else(|_| "\"?\"".to_string())
 }
 
-fn read_request(stream: &mut TcpStream) -> Option<(String, String, String)> {
+/// Largest request head, and largest declared body, the socket accepts.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// Read one request as (method, path, body), or the error response that
+/// refuses it: 400 for a malformed or truncated request (an unparsable
+/// `Content-Length` included), 413 for a declared body over
+/// [`MAX_REQUEST_BYTES`] (refused before any of it is read).
+fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), (u16, String)> {
+    let malformed = || (400, "{\"error\":\"malformed request\"}".to_string());
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     let header_end = loop {
-        let n = stream.read(&mut chunk).ok()?;
+        let n = stream.read(&mut chunk).map_err(|_| malformed())?;
         if n == 0 {
-            return None;
+            return Err(malformed());
         }
         buf.extend_from_slice(&chunk[..n]);
         if let Some(pos) = find_header_end(&buf) {
             break pos;
         }
-        if buf.len() > 64 * 1024 {
-            return None;
+        if buf.len() > MAX_REQUEST_BYTES {
+            return Err(malformed());
         }
     };
     let head = String::from_utf8_lossy(&buf[..header_end]).to_string();
     let mut lines = head.lines();
-    let request_line = lines.next()?;
+    let request_line = lines.next().ok_or_else(malformed)?;
     let mut parts = request_line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let path = parts.next()?.to_string();
-    let content_length = lines
-        .filter_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse::<usize>().ok())?
-        })
-        .next()
-        .unwrap_or(0);
+    let method = parts.next().ok_or_else(malformed)?.to_string();
+    let path = parts.next().ok_or_else(malformed)?.to_string();
+    let declared = lines.find_map(|l| {
+        let (k, v) = l.split_once(':')?;
+        k.eq_ignore_ascii_case("content-length").then_some(v)
+    });
+    let content_length = match declared {
+        Some(v) => v.trim().parse::<usize>().map_err(|_| malformed())?,
+        None => 0,
+    };
+    if content_length > MAX_REQUEST_BYTES {
+        return Err((
+            413,
+            format!("{{\"error\":\"request body over {MAX_REQUEST_BYTES} bytes\"}}"),
+        ));
+    }
     let mut body = buf[header_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).ok()?;
+        let n = stream.read(&mut chunk).map_err(|_| malformed())?;
         if n == 0 {
             break;
         }
         body.extend_from_slice(&chunk[..n]);
     }
     body.truncate(content_length);
-    Some((method, path, String::from_utf8_lossy(&body).to_string()))
+    Ok((method, path, String::from_utf8_lossy(&body).to_string()))
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {
@@ -345,6 +358,7 @@ fn respond(stream: &mut TcpStream, code: u16, body: &str) {
         400 => "Bad Request",
         404 => "Not Found",
         409 => "Conflict",
+        413 => "Payload Too Large",
         _ => "Internal Server Error",
     };
     let _ = write!(
@@ -552,5 +566,46 @@ mod tests {
         let daemon = server.join().unwrap();
         assert!(daemon.draining());
         assert!(daemon.epoch() > 0);
+    }
+
+    #[test]
+    fn oversized_or_unparsable_length_is_refused_before_the_body_is_read() {
+        use std::sync::mpsc;
+        let (tx, rx) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let mut daemon = boot();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            tx.send(listener.local_addr().unwrap().to_string()).unwrap();
+            // Serve exactly the three connections below.
+            for _ in 0..3 {
+                handle_connection(listener.accept().unwrap().0, &mut daemon);
+            }
+        });
+        let addr = rx.recv().unwrap();
+        // Send a request head declaring `length` and none of the body: the
+        // daemon must answer from the head alone.
+        let head_only = |length: &str| {
+            let mut raw = TcpStream::connect(&addr).unwrap();
+            raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            write!(
+                raw,
+                "POST /submit HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {length}\r\n\r\n"
+            )
+            .unwrap();
+            let mut reply = String::new();
+            raw.read_to_string(&mut reply).unwrap();
+            reply
+        };
+
+        let reply = head_only("2147483648"); // 2 GiB
+        assert!(reply.starts_with("HTTP/1.1 413 "), "{reply}");
+        let reply = head_only("99999999999999999999999");
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+
+        // The daemon keeps serving.
+        let (code, body) = http_request(&addr, "GET", "/status", None).unwrap();
+        assert_eq!(code, 200, "{body}");
+        server.join().unwrap();
     }
 }

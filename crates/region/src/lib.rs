@@ -35,8 +35,8 @@ pub mod spec;
 
 pub use event::{next_region_event, next_region_event_with, RegionEvent};
 pub use orchestrator::{
-    run_federation, run_federation_observed, run_federation_sink, EvacuationDrill, Federation,
-    FederationConfig, FederationError, FollowTheSun,
+    run_federation, run_federation_sink, EvacuationDrill, Federation, FederationConfig,
+    FederationError, FollowTheSun,
 };
 pub use report::{FederationReport, IntervalOutcome, RegionOutcome};
 pub use router::{

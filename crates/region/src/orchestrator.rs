@@ -29,7 +29,7 @@ use parva_cluster::{BillingReport, BillingRow, FollowTheSunRow};
 use parva_deploy::{tenant_of, ServiceSpec, Tenant};
 use parva_des::RngStream;
 use parva_fleet::{ChaosProfile, FleetError, FleetOrchestrator, FleetPacking, RecoveryOutcome};
-use parva_obs::{Recorder, Row, SelfProfiler, TraceEvent, TraceSink, PID_REGION};
+use parva_obs::{Row, SelfProfiler, TraceEvent, TraceSink, PID_REGION};
 use parva_profile::ProfileBook;
 use parva_scenarios::diurnal_multiplier;
 use parva_serve::{
@@ -1240,7 +1240,7 @@ pub fn run_federation(
     spec: &FederationSpec,
     config: &FederationConfig,
 ) -> Result<FederationReport, FederationError> {
-    run_federation_with(
+    run_federation_sink(
         book,
         services,
         spec,
@@ -1249,31 +1249,6 @@ pub fn run_federation(
         false,
     )
     .map(|(report, _)| report)
-}
-
-/// [`run_federation`] under an observer: the identical federation trace
-/// (the report is property-tested equal to the unobserved run), plus,
-/// per interval, federation *decision* trace events — the injected
-/// region event, an `evacuate` instant per forced cross-region
-/// failover, and per-region `retarget` / `spill` instants — and one
-/// aggregate gauge row plus one row per region with its routed demand,
-/// spill volumes, compliance and cost. Interval `n` is mapped onto the
-/// trace timeline at `n × serving-window`. The recorder also absorbs
-/// the federation's phase self-profile (event-apply / route / retarget
-/// / measure).
-///
-/// # Errors
-/// Propagates bootstrap and failback failures ([`FederationError`]).
-pub fn run_federation_observed(
-    book: &ProfileBook,
-    services: &[ServiceSpec],
-    spec: &FederationSpec,
-    config: &FederationConfig,
-    rec: &mut Recorder,
-) -> Result<FederationReport, FederationError> {
-    let (report, profile) = run_federation_with(book, services, spec, config, rec, true)?;
-    rec.profile.absorb(&profile);
-    Ok(report)
 }
 
 /// Static label for a region event kind (trace names must be
@@ -1380,31 +1355,27 @@ fn sample_interval<S: TraceSink>(sink: &mut S, names: &[String], outcome: &Inter
     }
 }
 
-/// [`run_federation`] under an arbitrary [`TraceSink`] — the generic
-/// engine behind both the plain and recorded runs. Streaming callers
-/// (the scenario layer's `--stream` path) hand a sink that retires
-/// events to disk as they land; `profile` enables the federation phase
-/// self-profile, returned alongside the report.
+/// [`run_federation`] under a [`TraceSink`]: the identical federation
+/// trace (the report is property-tested equal to the unobserved run),
+/// plus, per interval, federation *decision* trace events — the injected
+/// region event, an `evacuate` instant per forced cross-region failover,
+/// and per-region `retarget` / `spill` instants — and one aggregate gauge
+/// row plus one row per region with its routed demand, spill volumes,
+/// compliance and cost. Interval `n` is mapped onto the trace timeline at
+/// `n × serving-window`. `profile` enables the federation's phase
+/// self-profile (event-apply / route / retarget / measure), returned
+/// alongside the report; a [`parva_obs::Recorder`] caller absorbs it into
+/// `rec.profile`. Streaming callers (the scenario layer's `--stream`
+/// path) hand a sink that retires events to disk as they land.
 ///
 /// # Errors
 /// Propagates bootstrap and failback failures ([`FederationError`]).
-pub fn run_federation_sink<S: TraceSink>(
-    book: &ProfileBook,
-    services: &[ServiceSpec],
-    spec: &FederationSpec,
-    config: &FederationConfig,
-    sink: &mut S,
-    profile: bool,
-) -> Result<(FederationReport, SelfProfiler), FederationError> {
-    run_federation_with(book, services, spec, config, sink, profile)
-}
-
 #[allow(
     clippy::cast_precision_loss,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss
 )]
-fn run_federation_with<S: TraceSink>(
+pub fn run_federation_sink<S: TraceSink>(
     book: &ProfileBook,
     services: &[ServiceSpec],
     spec: &FederationSpec,
@@ -1537,6 +1508,7 @@ mod tests {
     use crate::event::next_region_event;
     use crate::router::route_demand;
     use crate::spec::FederationSpec;
+    use parva_obs::Recorder;
 
     fn quick_config(seed: u64, intervals: usize) -> FederationConfig {
         FederationConfig {
@@ -1613,8 +1585,14 @@ mod tests {
         let cfg = quick_config(7, 4);
         let plain = run_federation(&book, &services, &spec, &cfg).unwrap();
 
+        let observed = |rec: &mut Recorder| {
+            let (report, profile) =
+                run_federation_sink(&book, &services, &spec, &cfg, rec, true).unwrap();
+            rec.profile.absorb(&profile);
+            report
+        };
         let mut rec_a = Recorder::new(0);
-        let a = run_federation_observed(&book, &services, &spec, &cfg, &mut rec_a).unwrap();
+        let a = observed(&mut rec_a);
         assert_eq!(plain, a, "observation must not change the report");
 
         // Gauge rows: (1 aggregate + one per region) × (baseline + intervals).
@@ -1642,7 +1620,7 @@ mod tests {
 
         // Deterministic artifacts: byte-identical across runs.
         let mut rec_b = Recorder::new(0);
-        let b = run_federation_observed(&book, &services, &spec, &cfg, &mut rec_b).unwrap();
+        let b = observed(&mut rec_b);
         assert_eq!(a, b);
         assert_eq!(rec_a.chrome_trace(), rec_b.chrome_trace());
         assert_eq!(rec_a.metrics_jsonl(), rec_b.metrics_jsonl());

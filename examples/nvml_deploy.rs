@@ -5,7 +5,8 @@
 //! Run: `cargo run --example nvml_deploy`
 
 use parvagpu::core::reconfigure;
-use parvagpu::nvml::{apply_deployment, apply_diff, diff_deployments, fleet_matches, SimNvml};
+use parvagpu::deploy::DeploymentDiff;
+use parvagpu::nvml::{apply_deployment, apply_diff, fleet_matches, SimNvml};
 use parvagpu::prelude::*;
 
 fn main() {
@@ -50,7 +51,7 @@ fn main() {
     let outcome = reconfigure::update_service(&scheduler, &deployment, &services, updated)
         .expect("reconfig feasible");
 
-    let diff = diff_deployments(&deployment, &outcome.deployment);
+    let diff = DeploymentDiff::between(deployment.slots(), outcome.deployment.slots());
     println!(
         "minimal diff: {} slots kept, {} MIG rebuilds, {} MPS retunes, GPUs touched: {:?}",
         diff.kept.len(),

@@ -8,7 +8,9 @@
 //! * [`mig`] — A100/H100 MIG geometry (profiles, 19 configurations, placement)
 //! * [`perf`] — analytic DNN workload performance/memory model
 //! * [`profile`] — the Profiler (instance × batch × process sweeps)
-//! * [`deploy`] — shared deployment vocabulary and the `Scheduler` trait
+//! * [`deploy`] — shared deployment vocabulary, the `Scheduler` trait, and
+//!   the §III-F minimal diff between two deployment maps
+//!   ([`deploy::DeploymentDiff`]) that every layer reads
 //! * [`des`] — deterministic discrete-event simulation engine
 //! * [`serve`] — cluster serving simulator (requests, batching, SLO tracking)
 //! * [`core`] — the ParvaGPU Segment Configurator and Segment Allocator
@@ -21,14 +23,20 @@
 //! * [`obs`] — structured observability: request/recovery trace spans
 //!   (Chrome/Perfetto `trace_event` JSON), deterministic time-series
 //!   gauges, and orchestrator self-profiling — zero-cost when disabled
-//! * [`nvml`] — simulated NVML/DCGM layer: instance lifecycle, minimal-diff
-//!   reconfiguration (§III-F), SM-activity telemetry
+//! * [`nvml`] — simulated NVML/DCGM layer: instance lifecycle, executing a
+//!   deployment map or a [`deploy::DeploymentDiff`] against the devices,
+//!   SM-activity telemetry
 //! * [`cluster`] — p4de.24xlarge node packing and cost accounting
+//! * [`autoscale`] — epoch-driven control loop over the incremental
+//!   reconfiguration path, §III-F shadow-process windows
 //! * [`fleet`] — heterogeneous multi-node fleet orchestration: failures,
 //!   spot preemption, live migration, event-driven recovery
 //! * [`region`] — multi-region fleet federation: geo-aware routing with
 //!   RTT charged against the SLO, region evacuation, cross-region
 //!   failover, per-region pricing
+//! * [`daemon`] — `parvad`, the long-running daemon: the serving engine
+//!   advanced epoch by epoch behind an HTTP/JSON control socket, with
+//!   autoscaling and checkpoint/resume
 //!
 //! ## Quickstart
 //!
