@@ -11,7 +11,7 @@
 //!
 //! Every column except `sim_wall_ms` is deterministic per seed;
 //! `sim_wall_ms` is the measured wall-clock of the run on the current
-//! host (the DES perf trajectory also tracked by `perf_sweep`).
+//! host.
 //!
 //! Usage: `cargo run --release -p parva-bench --bin fleet_chaos [seeds]`
 

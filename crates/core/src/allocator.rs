@@ -23,7 +23,7 @@
 //! memory-stranded GPUs (the `3g+3g` configuration, whose 7th slice cannot
 //! host anything) are repaired by splitting one of the 3-GPC segments into
 //! small segments. This stage is this implementation's only extrapolation
-//! beyond the algorithm text; see DESIGN.md §1.
+//! beyond the algorithm text.
 
 use crate::service::Service;
 use parva_deploy::{MigDeployment, PlacedSegment, Segment};

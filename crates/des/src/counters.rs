@@ -3,10 +3,13 @@
 //! The serving simulator records, once per completed run, how many events
 //! its queue processed, the peak pending-event depth, and the time spent
 //! inside the event loop — both wall-clock nanoseconds and *per-thread CPU*
-//! nanoseconds. Benchmarks (`perf_sweep`) reset these, drive a scenario,
-//! and read the aggregate back — the counters never influence simulation
-//! behaviour, so instrumented and uninstrumented runs produce identical
-//! reports.
+//! nanoseconds. Readers take a [`snapshot`] before and after a region of
+//! work and keep the [`Snapshot::delta`] — the orchestrator self-profiles
+//! attribute DES work to their phases this way, and `perfbench` reports
+//! `des.events`, `des.sims`, `des.loop_cpu_ms` and `des.peak_queue_depth`
+//! from it. Nothing outside this module's tests resets them, and they
+//! never influence simulation behaviour, so instrumented and
+//! uninstrumented runs produce identical reports.
 //!
 //! All counters are process-global atomics: scoped-thread fan-outs (fleet
 //! probes, per-region serving) accumulate into the same totals. The wall
@@ -111,34 +114,11 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Event throughput of the DES loop itself, events per wall second
-    /// spent inside the loop (0 when nothing was recorded).
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        if self.loop_nanos == 0 {
-            0.0
-        } else {
-            self.events as f64 / (self.loop_nanos as f64 / 1e9)
-        }
-    }
-
-    /// Event throughput per CPU second inside the loop — the engine metric
-    /// that stays exact under thread fan-out (0 when no CPU time was
-    /// recorded, e.g. on platforms without a per-thread CPU clock).
-    #[must_use]
-    pub fn events_per_cpu_sec(&self) -> f64 {
-        if self.loop_cpu_nanos == 0 {
-            0.0
-        } else {
-            self.events as f64 / (self.loop_cpu_nanos as f64 / 1e9)
-        }
-    }
-
     /// The counter activity between `earlier` and `self`, scope-safe for
     /// nested measurements: take a snapshot before a region of work, one
     /// after, and the delta attributes exactly the events/sims/loop time
     /// recorded in between — including everything scoped-thread fan-outs
-    /// accumulated — without anyone calling [`reset`] and clobbering an
+    /// accumulated — without resetting the counters and clobbering an
     /// enclosing measurement.
     ///
     /// `peak_queue_depth` is a high-water mark, not a sum: a maximum cannot
@@ -169,8 +149,9 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Reset all counters to zero (benchmark harness use).
-pub fn reset() {
+/// Reset all counters to zero, so a test reads absolute values.
+#[cfg(test)]
+fn reset() {
     EVENTS.store(0, Ordering::Relaxed);
     SIMS.store(0, Ordering::Relaxed);
     PEAK_QUEUE.store(0, Ordering::Relaxed);
@@ -198,12 +179,8 @@ mod tests {
         assert_eq!(s.peak_queue_depth, 12);
         assert_eq!(s.loop_nanos, 1_500_000);
         assert_eq!(s.loop_cpu_nanos, 1_300_000);
-        assert!((s.events_per_sec() - 1e5).abs() < 1e-6);
-        assert!((s.events_per_cpu_sec() - 150.0 / 1.3e-3).abs() < 1e-6);
         reset();
         assert_eq!(snapshot(), Snapshot::default());
-        assert_eq!(snapshot().events_per_sec(), 0.0);
-        assert_eq!(snapshot().events_per_cpu_sec(), 0.0);
     }
 
     #[test]

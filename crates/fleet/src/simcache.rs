@@ -14,6 +14,10 @@
 //! returns a clone of a report the engine really produced for those
 //! inputs, and a collision across distinct states is vanishingly unlikely
 //! (~n²/2¹²⁸).
+//!
+//! Every cache also counts its hits and misses into process-wide totals
+//! ([`global_stats`]); `perfbench` reads their delta over a pass as its
+//! `fleet.cache_hits`, `fleet.cache_misses` and `fleet.cache_hit_ratio`.
 
 use parva_serve::ServingReport;
 use std::collections::{HashMap, VecDeque};
@@ -25,20 +29,15 @@ static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide cache telemetry: `(hits, misses)` across every
-/// [`SimCache`] instance since the last [`reset_global_stats`]. Benchmark
-/// harness use; the values never influence behaviour.
+/// [`SimCache`] instance since the process started. The counters only
+/// grow; a benchmark reads their delta over the work it measures. The
+/// values never influence behaviour.
 #[must_use]
 pub fn global_stats() -> (u64, u64) {
     (
         GLOBAL_HITS.load(Ordering::Relaxed),
         GLOBAL_MISSES.load(Ordering::Relaxed),
     )
-}
-
-/// Zero the process-wide cache telemetry.
-pub fn reset_global_stats() {
-    GLOBAL_HITS.store(0, Ordering::Relaxed);
-    GLOBAL_MISSES.store(0, Ordering::Relaxed);
 }
 
 /// 128-bit FNV-1a over streamed `fmt` output — hashing without

@@ -113,22 +113,6 @@ pub const MANIFEST: &[Artifact] = &[
     },
 ];
 
-/// JSON performance artifacts listed (not tabulated — they are nested
-/// documents, not CSVs) at the end of the summary so the perf and
-/// observability trajectories are visible next to the paper figures.
-pub const PERF_ARTIFACTS: &[Artifact] = &[
-    Artifact {
-        file: "BENCH_des.json",
-        title: "DES engine throughput",
-        caption: "events/sec per scenario scale (perf_sweep; gated in CI at 2x).",
-    },
-    Artifact {
-        file: "BENCH_obs.json",
-        title: "Observability overhead",
-        caption: "tracing-off vs tracing-on wall per engine (obs_overhead).",
-    },
-];
-
 /// Render one CSV string as a markdown table (first line = header).
 #[must_use]
 pub fn csv_to_markdown(csv: &str) -> String {
@@ -156,7 +140,7 @@ pub fn build_summary(results_dir: &Path) -> String {
     let mut out = String::from(
         "# Results summary\n\nRegenerated artifacts of the ParvaGPU reproduction, in the \
          paper's order.\nRe-create everything with `cargo run --release -p parva-bench \
-         --bin repro_all`\nand the per-figure binaries (see EXPERIMENTS.md).\n",
+         --bin repro_all`\nand the per-figure binaries (see README \"Reproduction binaries\").\n",
     );
     let mut missing = Vec::new();
     for artifact in MANIFEST {
@@ -170,16 +154,6 @@ pub fn build_summary(results_dir: &Path) -> String {
                 ));
             }
             Err(_) => missing.push(artifact.file),
-        }
-    }
-    let present: Vec<&Artifact> = PERF_ARTIFACTS
-        .iter()
-        .filter(|a| results_dir.join(a.file).exists())
-        .collect();
-    if !present.is_empty() {
-        out.push_str("\n## Performance artifacts\n\n");
-        for a in present {
-            out.push_str(&format!("* `{}` — {}: {}\n", a.file, a.title, a.caption));
         }
     }
     if !missing.is_empty() {
@@ -222,10 +196,7 @@ mod tests {
     fn summary_includes_present_and_lists_missing() {
         let dir = scratch_dir("mix");
         std::fs::write(dir.join("fig5_gpu_counts.csv"), "scenario,ParvaGPU\nS1,2\n").unwrap();
-        std::fs::write(dir.join("BENCH_obs.json"), "{}").unwrap();
         let summary = build_summary(&dir);
-        assert!(summary.contains("## Performance artifacts"));
-        assert!(summary.contains("`BENCH_obs.json`"));
         assert!(summary.contains("## Figure 5 — total GPUs"));
         assert!(summary.contains("| S1 | 2 |"));
         assert!(summary.contains("## Missing artifacts"));

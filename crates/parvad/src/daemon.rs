@@ -13,7 +13,12 @@
 //! | `POST /submit`     | [`crate::PodSpec`] JSON              | admit a pod, `{"id":n}` |
 //! | `POST /scale`      | `{"service":n,"multiplier":x}`       | inject true demand |
 //! | `POST /drain`      | —                                    | stop admissions, exit after the epoch |
-//! | `POST /checkpoint` | `{"path":"…"}`                       | write a checkpoint now |
+//! | `POST /checkpoint` | `{"path":"ck.json"}`                 | write a checkpoint now, under `--out` |
+//!
+//! `/checkpoint` takes a bare file name only — no path separator, no `..`,
+//! nothing absolute — and writes it into the artifact directory, so a
+//! socket client cannot write anywhere else; a daemon without `--out`
+//! refuses it.
 //!
 //! Artifacts under `--out`: `gauges.jsonl` (appended per epoch — the
 //! byte-gate stream), `report.json` and `status.json` (written at exit),
@@ -27,7 +32,7 @@ use parva_obs::{Row, StreamConfig, StreamSink, TraceEvent, TraceSink};
 use serde::Deserialize;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// How to run the daemon loop.
 #[derive(Debug, Clone, Default)]
@@ -152,7 +157,7 @@ pub fn run_daemon(daemon: &mut Daemon, opts: &DaemonOpts) -> Result<DaemonOutcom
     let mut drained = false;
     loop {
         if let Some(l) = &listener {
-            poll_control(l, daemon);
+            poll_control(l, daemon, opts.out_dir.as_deref());
         }
         if daemon.draining() {
             drained = true;
@@ -225,27 +230,33 @@ pub fn run_daemon(daemon: &mut Daemon, opts: &DaemonOpts) -> Result<DaemonOutcom
 }
 
 /// Handle every connection currently pending on the listener.
-fn poll_control(listener: &TcpListener, daemon: &mut Daemon) {
+fn poll_control(listener: &TcpListener, daemon: &mut Daemon, out_dir: Option<&Path>) {
     loop {
         match listener.accept() {
-            Ok((stream, _)) => handle_connection(stream, daemon),
+            Ok((stream, _)) => handle_connection(stream, daemon, out_dir),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(_) => return,
         }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, daemon: &mut Daemon) {
+fn handle_connection(mut stream: TcpStream, daemon: &mut Daemon, out_dir: Option<&Path>) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
     let (code, reply) = match read_request(&mut stream) {
-        Ok((method, path, body)) => dispatch(daemon, &method, &path, &body),
+        Ok((method, path, body)) => dispatch(daemon, out_dir, &method, &path, &body),
         Err(refusal) => refusal,
     };
     respond(&mut stream, code, &reply);
 }
 
-fn dispatch(daemon: &mut Daemon, method: &str, path: &str, body: &str) -> (u16, String) {
+fn dispatch(
+    daemon: &mut Daemon,
+    out_dir: Option<&Path>,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, String) {
     let err = |code: u16, msg: &str| (code, format!("{{\"error\":{}}}", quote_json(msg)));
     match (method, path) {
         ("GET", "/status") => match serde_json::to_string(&daemon.status()) {
@@ -275,17 +286,48 @@ fn dispatch(daemon: &mut Daemon, method: &str, path: &str, body: &str) -> (u16, 
             (200, "{\"ok\":true,\"draining\":true}".to_string())
         }
         ("POST", "/checkpoint") => match serde_json::from_str::<CheckpointRequest>(body) {
-            Ok(req) => match checkpoint::save_checkpoint(daemon, std::path::Path::new(&req.path)) {
-                Ok(()) => (
-                    200,
-                    format!("{{\"ok\":true,\"path\":{}}}", quote_json(&req.path)),
-                ),
-                Err(e) => err(500, &e),
+            Ok(req) => match checkpoint_file(out_dir, &req.path) {
+                Ok(file) => match checkpoint::save_checkpoint(daemon, &file) {
+                    Ok(()) => (
+                        200,
+                        format!(
+                            "{{\"ok\":true,\"path\":{}}}",
+                            quote_json(&file.display().to_string())
+                        ),
+                    ),
+                    Err(e) => err(500, &e),
+                },
+                Err((code, msg)) => err(code, &msg),
             },
             Err(e) => err(400, &format!("bad checkpoint request: {e}")),
         },
         _ => err(404, &format!("no such endpoint: {method} {path}")),
     }
+}
+
+/// Where a `/checkpoint` request for `name` writes: `name` under the
+/// daemon's `--out`. Only a bare file name is accepted; anything else is
+/// refused with a 4xx status and the reason.
+fn checkpoint_file(out_dir: Option<&Path>, name: &str) -> Result<PathBuf, (u16, String)> {
+    let Some(dir) = out_dir else {
+        return Err((
+            409,
+            "the daemon has no --out directory to checkpoint into".into(),
+        ));
+    };
+    let reason = if Path::new(name).is_absolute() {
+        "is absolute"
+    } else if name.contains(['/', '\\']) {
+        "has a path separator"
+    } else if matches!(name, "" | "." | "..") {
+        "is not a file name"
+    } else {
+        return Ok(dir.join(name));
+    };
+    Err((
+        400,
+        format!("checkpoint path '{name}' {reason}; send a bare file name, written under --out"),
+    ))
 }
 
 fn quote_json(s: &str) -> String {
@@ -525,7 +567,7 @@ mod tests {
             // Serve requests until a drain arrives, stepping in between so
             // submitted pods actually receive traffic.
             while !daemon.draining() {
-                poll_control(&listener, &mut daemon);
+                poll_control(&listener, &mut daemon, None);
                 daemon.step(&mut parva_obs::NullSink);
             }
             daemon
@@ -569,6 +611,76 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_endpoint_writes_only_bare_names_under_out() {
+        use std::sync::mpsc;
+        let base = std::env::temp_dir().join(format!("parvad-test-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let out = base.join("out");
+        std::fs::create_dir_all(&out).unwrap();
+        let outside = base.join("abs.json");
+        let refused = [
+            "../x.json",
+            "/tmp/x.json",
+            "a/b.json",
+            "..",
+            outside.to_str().unwrap(),
+        ];
+        let tmp_x_existed = Path::new("/tmp/x.json").exists();
+
+        let (tx, rx) = mpsc::channel();
+        let server_out = out.clone();
+        let requests = refused.len() + 1;
+        let server = std::thread::spawn(move || {
+            let mut daemon = boot();
+            for _ in 0..3 {
+                daemon.step(&mut parva_obs::NullSink);
+            }
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            tx.send(listener.local_addr().unwrap().to_string()).unwrap();
+            for _ in 0..requests {
+                handle_connection(listener.accept().unwrap().0, &mut daemon, Some(&server_out));
+            }
+            // One more request, to a daemon started without --out.
+            handle_connection(listener.accept().unwrap().0, &mut daemon, None);
+            daemon
+        });
+        let addr = rx.recv().unwrap();
+        let post_checkpoint = |name: &str| {
+            let body = format!("{{\"path\":{}}}", quote_json(name));
+            http_request(&addr, "POST", "/checkpoint", Some(&body)).unwrap()
+        };
+
+        let (code, body) = post_checkpoint("ck.json");
+        assert_eq!(code, 200, "{body}");
+        for name in refused {
+            let (code, body) = post_checkpoint(name);
+            assert_eq!(code, 400, "{name}: {body}");
+            assert!(body.contains("bare file name"), "{name}: {body}");
+        }
+        let (code, body) = post_checkpoint("ck.json");
+        assert_eq!(code, 409, "{body}");
+        assert!(body.contains("--out"), "{body}");
+        let daemon = server.join().unwrap();
+
+        // Only the bare name was written, and it resumes on the same epoch.
+        let listing = |dir: &Path| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(listing(&base), ["out"]);
+        assert_eq!(listing(&out), ["ck.json"]);
+        assert_eq!(Path::new("/tmp/x.json").exists(), tmp_x_existed);
+        let resumed: Daemon = checkpoint::load_checkpoint(&out.join("ck.json")).unwrap();
+        assert_eq!(daemon.epoch(), 3);
+        assert_eq!(resumed.epoch(), daemon.epoch());
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
     fn oversized_or_unparsable_length_is_refused_before_the_body_is_read() {
         use std::sync::mpsc;
         let (tx, rx) = mpsc::channel();
@@ -578,7 +690,7 @@ mod tests {
             tx.send(listener.local_addr().unwrap().to_string()).unwrap();
             // Serve exactly the three connections below.
             for _ in 0..3 {
-                handle_connection(listener.accept().unwrap().0, &mut daemon);
+                handle_connection(listener.accept().unwrap().0, &mut daemon, None);
             }
         });
         let addr = rx.recv().unwrap();

@@ -3,7 +3,7 @@
 //! The values are synthetic but anchored: InceptionV3 reproduces the paper's
 //! quoted §III-B throughput/latency points, and the remaining models are
 //! scaled by their relative cost so the Table IV scenarios produce GPU
-//! fleets of the same order as the paper's Figure 5 (see DESIGN.md §5).
+//! fleets of the same order as the paper's Figure 5.
 
 use crate::model::Model;
 use serde::{Deserialize, Serialize};

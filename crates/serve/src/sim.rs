@@ -2147,8 +2147,8 @@ mod tests {
     fn parvagpu_s2_bounded_internal_slack() {
         // S2's configured demand (~17 GPCs) is padded to 3 full GPUs for 0%
         // fragmentation, which physically bounds slack from below at ~20%
-        // on this substrate (see EXPERIMENTS.md); the paper's 3-5% regime
-        // is reproduced at the larger scenarios (tested in end_to_end).
+        // on this substrate; the paper's 3-5% regime is reproduced at the
+        // larger scenarios (tested in end_to_end).
         let (d, specs) = parva_s2();
         let report = sim(&d, &specs, &quick_config());
         let slack = report.internal_slack();

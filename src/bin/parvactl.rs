@@ -113,6 +113,19 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Flag `name`'s value parsed as `T` (`None` when the flag is absent). A
+/// missing or malformed value is a usage error: it exits 2 naming the flag.
+fn num<T>(args: &[String], name: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    cli::parse_flag(args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 fn daemon_addr(args: &[String]) -> String {
     flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7474".into())
 }
@@ -140,12 +153,8 @@ fn main() {
             let Some(path) = args.get(1).filter(|p| !p.starts_with("--")) else {
                 usage()
             };
-            let seconds = flag(&args, "--seconds")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(10.0);
-            let seed = flag(&args, "--seed")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(42);
+            let seconds = num(&args, "--seconds").unwrap_or(10.0);
+            let seed = num(&args, "--seed").unwrap_or(42);
             cli::run_simulate(&read_json(path), &scheduler, seconds, seed)
         }
         "compare" => {
@@ -170,15 +179,9 @@ fn main() {
                 .get(1)
                 .filter(|p| !p.starts_with("--"))
                 .map(|p| read_json(p));
-            let seed = flag(&args, "--seed")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(42);
-            let intervals = flag(&args, "--intervals")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(8);
-            let nodes = flag(&args, "--nodes")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(2);
+            let seed = num(&args, "--seed").unwrap_or(42);
+            let intervals = num(&args, "--intervals").unwrap_or(8);
+            let nodes = num(&args, "--nodes").unwrap_or(2);
             cli::run_fleet(
                 json.as_deref(),
                 seed,
@@ -193,12 +196,8 @@ fn main() {
                 .get(1)
                 .filter(|p| !p.starts_with("--"))
                 .map(|p| read_json(p));
-            let seed = flag(&args, "--seed")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(42);
-            let intervals = flag(&args, "--intervals")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(8);
+            let seed = num(&args, "--seed").unwrap_or(42);
+            let intervals = num(&args, "--intervals").unwrap_or(8);
             cli::run_region(
                 json.as_deref(),
                 seed,
@@ -250,25 +249,17 @@ fn main() {
             cli::run_daemon_cmd(&cli::DaemonCliOpts {
                 services_json,
                 resume: flag(&args, "--resume"),
-                seed: flag(&args, "--seed")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(42),
-                epoch_ms: flag(&args, "--epoch-ms")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(500),
-                decide_every: flag(&args, "--decide-every")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(0),
+                seed: num(&args, "--seed").unwrap_or(42),
+                epoch_ms: num(&args, "--epoch-ms").unwrap_or(500),
+                decide_every: num(&args, "--decide-every").unwrap_or(0),
                 listen: flag(&args, "--listen"),
-                epochs: flag(&args, "--epochs").and_then(|s| s.parse().ok()),
+                epochs: num(&args, "--epochs"),
                 out: flag(&args, "--out"),
                 checkpoint: flag(&args, "--checkpoint"),
-                checkpoint_at: flag(&args, "--checkpoint-at").and_then(|s| s.parse().ok()),
+                checkpoint_at: num(&args, "--checkpoint-at"),
                 halt_at_checkpoint: args.iter().any(|a| a == "--halt"),
                 stream: flag(&args, "--stream"),
-                throttle_ms: flag(&args, "--throttle-ms")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(0),
+                throttle_ms: num(&args, "--throttle-ms").unwrap_or(0),
             })
         }
         "submit" => {
@@ -295,7 +286,7 @@ fn main() {
                     let (Some(trace), Some(report)) = (args.get(2), args.get(3)) else {
                         usage()
                     };
-                    let tolerance = flag(&args, "--tolerance").and_then(|s| s.parse().ok());
+                    let tolerance = num(&args, "--tolerance");
                     let metrics = flag(&args, "--metrics");
                     cli::run_trace_audit(trace, report, metrics.as_deref(), tolerance)
                 }
@@ -303,9 +294,7 @@ fn main() {
                     let Some(trace) = args.get(2).filter(|p| !p.starts_with("--")) else {
                         usage()
                     };
-                    let top = flag(&args, "--top")
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(10);
+                    let top = num(&args, "--top").unwrap_or(10);
                     cli::run_trace_summary(trace, top)
                 }
                 "diff" => {
@@ -319,10 +308,8 @@ fn main() {
                         usage()
                     };
                     let lane = flag(&args, "--lane").unwrap_or_else(|| "trace".into());
-                    let poll_ms = flag(&args, "--poll-ms")
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(200);
-                    let max_polls = flag(&args, "--max-polls").and_then(|s| s.parse().ok());
+                    let poll_ms = num(&args, "--poll-ms").unwrap_or(200);
+                    let max_polls = num(&args, "--max-polls");
                     // Stream lines as they land; the accumulated result
                     // is empty so the final `print!` adds nothing. Write
                     // errors (e.g. a closed `| head` pipe) end the tail

@@ -60,6 +60,29 @@ pub fn parse_services(json: &str) -> Result<Vec<ServiceSpec>, String> {
         .collect()
 }
 
+/// The value that follows flag `name` in `args`, parsed as `T`; `Ok(None)`
+/// when the flag is absent.
+///
+/// # Errors
+/// Names the flag when it is the last argument (no value) or its value
+/// does not parse as `T`.
+pub fn parse_flag<T>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|e| format!("{name}: invalid value '{value}' ({e})"))
+}
+
 /// The one canonical scheduler table: normalized key → constructor.
 /// [`make_scheduler`] and [`scheduler_name_is_known`] both read it, so
 /// the accepted-name set and the constructable set cannot drift apart.
@@ -1501,6 +1524,29 @@ mod tests {
         assert_eq!(specs[0].model, Model::ResNet50);
         assert_eq!(specs[1].model, Model::MobileNetV2);
         assert_eq!(specs[1].id, 1);
+    }
+
+    #[test]
+    fn parse_flag_reads_good_values_and_names_bad_ones() {
+        let args = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+        let a = args("fleet --seed 7 --ratio 0.5 --json");
+        assert_eq!(parse_flag::<u64>(&a, "--seed"), Ok(Some(7)));
+        assert_eq!(parse_flag::<f64>(&a, "--ratio"), Ok(Some(0.5)));
+        assert_eq!(parse_flag::<u64>(&a, "--intervals"), Ok(None));
+
+        let malformed = parse_flag::<u64>(&args("run --seed abc"), "--seed").unwrap_err();
+        assert!(
+            malformed.contains("--seed") && malformed.contains("abc"),
+            "{malformed}"
+        );
+        let err = parse_flag::<u64>(&args("daemon --checkpoint-at 6x"), "--checkpoint-at");
+        assert!(err.unwrap_err().contains("--checkpoint-at"));
+        // A following flag is not a value.
+        let err = parse_flag::<u64>(&args("fleet --seed --json"), "--seed");
+        assert!(err.unwrap_err().contains("--seed"));
+
+        let missing = parse_flag::<u64>(&args("fleet --seed"), "--seed").unwrap_err();
+        assert_eq!(missing, "--seed needs a value");
     }
 
     #[test]

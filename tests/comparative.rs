@@ -126,7 +126,7 @@ fn slack_ordering_matches_fig6_on_s4() {
     // Measured internal slack: ParvaGPU lowest; iGniter and MIG-serving
     // substantially higher (paper: +32% and +30% on average). S4 is used
     // because the small scenarios carry a padding-quantization artifact on
-    // this substrate (see EXPERIMENTS.md).
+    // this substrate.
     let book = ProfileBook::builtin();
     let specs = Scenario::S4.services();
     let cfg = ServingConfig {

@@ -75,8 +75,7 @@ fn internal_slack_is_single_digit_on_s5() {
     // Paper §IV-B2: "ParvaGPU's internal slack is in the range of 3-5%".
     // Our substrate reproduces the single-digit range on the large
     // scenarios, where last-GPU padding amortizes (S5 measures ~5%); the
-    // small scenarios carry a documented quantization artifact (see
-    // EXPERIMENTS.md).
+    // small scenarios carry a last-GPU padding quantization artifact.
     let book = ProfileBook::builtin();
     let sched = ParvaGpu::new(&book);
     let specs = Scenario::S5.services();
