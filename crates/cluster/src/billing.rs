@@ -10,7 +10,7 @@
 //! Rows only exist when tenants are configured, so single-tenant reports
 //! are byte-identical to the pre-tenant era.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// One interval's follow-the-sun ledger entry: how much overnight demand
 /// was shipped to cheaper daytime regions and what the shift was worth.
@@ -76,7 +76,7 @@ impl BillingRow {
 }
 
 /// The operator's P&L across tenants and intervals.
-#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BillingReport {
     /// One row per (interval, tenant), interval-major.
     pub rows: Vec<BillingRow>,
@@ -84,24 +84,8 @@ pub struct BillingReport {
     /// demand actually shifted. Empty when the optimizer is off (and
     /// omitted from the serialized form, so pre-optimizer reports are
     /// byte-identical).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub follow_the_sun: Vec<FollowTheSunRow>,
-}
-
-// Hand-written so optimizer-free runs serialize exactly as before the
-// follow-the-sun ledger existed: the trailing list is emitted only when
-// a shift actually happened.
-impl Serialize for BillingReport {
-    fn to_value(&self) -> Value {
-        let mut map = vec![(String::from("rows"), self.rows.to_value())];
-        if !self.follow_the_sun.is_empty() {
-            map.push((
-                String::from("follow_the_sun"),
-                self.follow_the_sun.to_value(),
-            ));
-        }
-        Value::Map(map)
-    }
 }
 
 impl BillingReport {

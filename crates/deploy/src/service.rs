@@ -1,7 +1,7 @@
 //! Service specifications: what a client registers with the system.
 
 use parva_perf::Model;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// A service-level objective on inference latency.
 ///
@@ -32,7 +32,7 @@ impl Slo {
 
 /// A registered DNN inference service (paper Table II: `id`, `lat`,
 /// `req_rate`; the algorithm-output fields live in `parva-core::Service`).
-#[derive(Debug, Clone, Copy, PartialEq, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSpec {
     /// Service identification number.
     pub id: u32,
@@ -44,28 +44,12 @@ pub struct ServiceSpec {
     pub slo: Slo,
     /// Owning tenant id; `0` (the default) means untenanted. See
     /// [`crate::Tenant`].
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_untenanted")]
     pub tenant: u32,
 }
 
-// Hand-written so untenanted specs serialize exactly as they did before the
-// tenant field existed: `tenant` is emitted only when non-zero.
-impl Serialize for ServiceSpec {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            (String::from("id"), self.id.to_value()),
-            (String::from("model"), self.model.to_value()),
-            (
-                String::from("request_rate_rps"),
-                self.request_rate_rps.to_value(),
-            ),
-            (String::from("slo"), self.slo.to_value()),
-        ];
-        if self.tenant != 0 {
-            map.push((String::from("tenant"), self.tenant.to_value()));
-        }
-        Value::Map(map)
-    }
+fn is_untenanted(tenant: &u32) -> bool {
+    *tenant == 0
 }
 
 impl ServiceSpec {

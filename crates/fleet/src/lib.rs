@@ -55,8 +55,8 @@ pub use event::{next_event, next_event_with, ChaosProfile, FleetEvent};
 pub use migration::MigrationPlan;
 pub use node::{Fleet, FleetNode, FleetSpec, GpuSlot, NodePool};
 pub use orchestrator::{
-    event_label, run_chaos, run_chaos_sink, FleetConfig, FleetError, FleetOrchestrator,
-    RecoveryOutcome, DEFAULT_MAX_REPLACEMENTS,
+    emit_billing_gauges, event_label, run_chaos, run_chaos_sink, FleetConfig, FleetError,
+    FleetOrchestrator, RecoveryOutcome, DEFAULT_MAX_REPLACEMENTS,
 };
 pub use pack::{FleetPacking, NodeUsage};
 pub use placer::{

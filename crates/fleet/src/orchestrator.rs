@@ -1121,7 +1121,7 @@ pub fn run_chaos_sink<S: TraceSink>(
 
     let mut billing_rows: Vec<BillingRow> = orchestrator.billing_rows(0, &serving);
     if S::ENABLED {
-        emit_billing_gauges(sink, &billing_rows, 0);
+        emit_billing_gauges(sink, &billing_rows);
     }
 
     let mut events = Vec::with_capacity(config.intervals);
@@ -1204,7 +1204,7 @@ pub fn run_chaos_sink<S: TraceSink>(
         }
         let interval_billing = orchestrator.billing_rows(interval, &serving);
         if S::ENABLED {
-            emit_billing_gauges(sink, &interval_billing, interval);
+            emit_billing_gauges(sink, &interval_billing);
         }
         billing_rows.extend(interval_billing);
         events.push(outcome);
@@ -1226,16 +1226,17 @@ pub fn run_chaos_sink<S: TraceSink>(
     ))
 }
 
-/// One `kind: "billing"` gauge row per tenant for an interval's P&L —
-/// emitted only when tenants are configured, so tenant-free artifacts stay
-/// byte-identical to the pre-tenant era.
-fn emit_billing_gauges<S: TraceSink>(sink: &mut S, rows: &[BillingRow], interval: usize) {
+/// One `kind: "billing"` gauge row per P&L row, for the fleet and the
+/// region layer alike. Tenant-free runs have no rows, so their artifacts
+/// carry no billing gauges.
+pub fn emit_billing_gauges<S: TraceSink>(sink: &mut S, rows: &[BillingRow]) {
     for row in rows {
         sink.sample(
             Row::new()
                 .str("kind", "billing")
-                .u64("interval", interval as u64)
+                .u64("interval", row.interval as u64)
                 .u64("tenant", u64::from(row.tenant))
+                .str("tenant_name", row.tenant_name.clone())
                 .u64("offered", row.offered)
                 .u64("rejected", row.rejected)
                 .u64("completed_within_slo", row.completed_within_slo)

@@ -4,7 +4,7 @@ use crate::event::FleetEvent;
 use crate::migration::MigrationPlan;
 use parva_cluster::BillingReport;
 use parva_serve::ResilienceCounters;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Tolerance for [`EventOutcome::recovered`]: request-level window
 /// compliance carries ~1% sampling noise from the window edge (requests
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize, Value};
 pub const RECOVERY_TOLERANCE: f64 = 0.01;
 
 /// What one event did to the fleet and how the orchestrator recovered.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventOutcome {
     /// Interval index (1-based; interval 0 is the undisturbed baseline).
     pub interval: usize,
@@ -70,67 +70,8 @@ pub struct EventOutcome {
     /// the event required no simulated recovery, the recovered steady
     /// state. `None` (and omitted from the serialized form) when the run
     /// had no resilience policy or nothing fired.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub resilience: Option<ResilienceCounters>,
-}
-
-// Hand-written so resilience-free runs serialize exactly as before the
-// resilience layer existed: `resilience` is emitted only when present.
-impl Serialize for EventOutcome {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            (String::from("interval"), self.interval.to_value()),
-            (String::from("event"), self.event.to_value()),
-            (
-                String::from("displaced_segments"),
-                self.displaced_segments.to_value(),
-            ),
-            (
-                String::from("replacement_nodes"),
-                self.replacement_nodes.to_value(),
-            ),
-            (String::from("migration"), self.migration.to_value()),
-            (
-                String::from("compliance_before"),
-                self.compliance_before.to_value(),
-            ),
-            (
-                String::from("compliance_during"),
-                self.compliance_during.to_value(),
-            ),
-            (
-                String::from("compliance_shadowed"),
-                self.compliance_shadowed.to_value(),
-            ),
-            (
-                String::from("compliance_measured"),
-                self.compliance_measured.to_value(),
-            ),
-            (
-                String::from("compliance_after"),
-                self.compliance_after.to_value(),
-            ),
-            (
-                String::from("compliance_after_batch"),
-                self.compliance_after_batch.to_value(),
-            ),
-            (
-                String::from("simulated_recovery_ms"),
-                self.simulated_recovery_ms.to_value(),
-            ),
-            (String::from("precopied_gib"), self.precopied_gib.to_value()),
-            (
-                String::from("nodes_in_service"),
-                self.nodes_in_service.to_value(),
-            ),
-            (String::from("usd_per_hour"), self.usd_per_hour.to_value()),
-            (String::from("lost_gpus"), self.lost_gpus.to_value()),
-        ];
-        if let Some(res) = &self.resilience {
-            map.push((String::from("resilience"), res.to_value()));
-        }
-        Value::Map(map)
-    }
 }
 
 impl EventOutcome {
@@ -161,7 +102,7 @@ impl EventOutcome {
 }
 
 /// Full outcome of a chaos run.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Master seed of the run (event stream + serving arrivals).
     pub seed: u64,
@@ -175,31 +116,8 @@ pub struct FleetReport {
     /// The operator's per-tenant P&L, one row per (interval, tenant)
     /// including the interval-0 baseline. `None` (and omitted from the
     /// serialized form) when the run had no tenants configured.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub billing: Option<BillingReport>,
-}
-
-// Hand-written so tenant-free runs serialize exactly as before the tenant
-// layer existed: `billing` is emitted only when present.
-impl Serialize for FleetReport {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            (String::from("seed"), self.seed.to_value()),
-            (
-                String::from("baseline_compliance"),
-                self.baseline_compliance.to_value(),
-            ),
-            (
-                String::from("baseline_usd_per_hour"),
-                self.baseline_usd_per_hour.to_value(),
-            ),
-            (String::from("events"), self.events.to_value()),
-        ];
-        if let Some(billing) = &self.billing {
-            map.push((String::from("billing"), billing.to_value()));
-        }
-        Value::Map(map)
-    }
 }
 
 impl FleetReport {

@@ -688,8 +688,8 @@ mod tests {
             let mut daemon = boot();
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             tx.send(listener.local_addr().unwrap().to_string()).unwrap();
-            // Serve exactly the three connections below.
-            for _ in 0..3 {
+            // Serve exactly the four connections below.
+            for _ in 0..4 {
                 handle_connection(listener.accept().unwrap().0, &mut daemon, None);
             }
         });
@@ -714,6 +714,12 @@ mod tests {
         assert!(reply.starts_with("HTTP/1.1 413 "), "{reply}");
         let reply = head_only("99999999999999999999999");
         assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+        // A body under MAX_REQUEST_BYTES is read whole; the JSON parser
+        // refuses nesting this deep instead of overflowing the stack.
+        let body = "[".repeat(60_000);
+        let (code, reply) = http_request(&addr, "POST", "/submit", Some(&body)).unwrap();
+        assert_eq!(code, 400, "{reply}");
+        assert!(reply.contains("nesting deeper than 128 levels"), "{reply}");
 
         // The daemon keeps serving.
         let (code, body) = http_request(&addr, "GET", "/status", None).unwrap();

@@ -28,7 +28,9 @@ use crate::spec::FederationSpec;
 use parva_cluster::{BillingReport, BillingRow, FollowTheSunRow};
 use parva_deploy::{tenant_of, ServiceSpec, Tenant};
 use parva_des::RngStream;
-use parva_fleet::{ChaosProfile, FleetError, FleetOrchestrator, FleetPacking, RecoveryOutcome};
+use parva_fleet::{
+    emit_billing_gauges, ChaosProfile, FleetError, FleetOrchestrator, FleetPacking, RecoveryOutcome,
+};
 use parva_obs::{Row, SelfProfiler, TraceEvent, TraceSink, PID_REGION};
 use parva_profile::ProfileBook;
 use parva_scenarios::diurnal_multiplier;
@@ -1277,26 +1279,6 @@ fn interval_us(serving: &ServingConfig) -> u64 {
     ((serving.warmup_s + serving.duration_s + serving.drain_s) * 1e6) as u64
 }
 
-/// Emit one interval's per-tenant billing gauge rows (no-ops for
-/// tenant-free runs, whose row set is empty).
-fn sample_billing<S: TraceSink>(sink: &mut S, rows: &[BillingRow]) {
-    for b in rows {
-        sink.sample(
-            Row::new()
-                .str("kind", "billing")
-                .u64("interval", b.interval as u64)
-                .u64("tenant", u64::from(b.tenant))
-                .str("tenant_name", b.tenant_name.clone())
-                .u64("offered", b.offered)
-                .u64("rejected", b.rejected)
-                .u64("completed_within_slo", b.completed_within_slo)
-                .f64("revenue_usd", b.revenue_usd)
-                .f64("cost_usd", b.cost_usd)
-                .f64("margin_usd", b.margin_usd()),
-        );
-    }
-}
-
 /// Emit follow-the-sun ledger gauge rows (a no-op when the optimizer
 /// never fired — the row set is empty).
 fn sample_follow_the_sun<S: TraceSink>(sink: &mut S, rows: &[FollowTheSunRow]) {
@@ -1394,7 +1376,7 @@ pub fn run_federation_sink<S: TraceSink>(
     let mut sun_rows: Vec<FollowTheSunRow> = baseline_ledger.into_iter().collect();
     if S::ENABLED {
         sample_interval(sink, &names, &baseline);
-        sample_billing(sink, &billing_rows);
+        emit_billing_gauges(sink, &billing_rows);
         sample_follow_the_sun(sink, &sun_rows);
     }
 
@@ -1478,7 +1460,7 @@ pub fn run_federation_sink<S: TraceSink>(
                 }
             }
             sample_interval(sink, &names, &outcome);
-            sample_billing(sink, &interval_bill);
+            emit_billing_gauges(sink, &interval_bill);
             sample_follow_the_sun(sink, interval_ledger.as_slice());
         }
         intervals.push(outcome);

@@ -5,7 +5,7 @@
 use crate::event::RegionEvent;
 use parva_cluster::BillingReport;
 use parva_serve::ResilienceCounters;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Tolerance for [`IntervalOutcome::attains`]: with DES-measured recovery,
 /// an interval's compliance carries the *measured* dip of its own event
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize, Value};
 pub const ATTAINMENT_TOLERANCE: f64 = 0.01;
 
 /// One region's row in one interval.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegionOutcome {
     /// Region index.
     pub region: usize,
@@ -63,61 +63,8 @@ pub struct RegionOutcome {
     /// Resilience-policy activity (timeouts, retries, sheds, hedges) in the
     /// traffic served here; `None` (and omitted from the serialized form)
     /// when the run had no resilience policy or nothing fired.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub resilience: Option<ResilienceCounters>,
-}
-
-// Hand-written so resilience-free runs serialize exactly as before the
-// resilience layer existed: the trailing `resilience` map is emitted only
-// when present.
-impl Serialize for RegionOutcome {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            (String::from("region"), self.region.to_value()),
-            (String::from("name"), self.name.to_value()),
-            (String::from("active"), self.active.to_value()),
-            (String::from("offered_rps"), self.offered_rps.to_value()),
-            (String::from("routed_in_rps"), self.routed_in_rps.to_value()),
-            (String::from("spill_in_rps"), self.spill_in_rps.to_value()),
-            (String::from("spill_out_rps"), self.spill_out_rps.to_value()),
-            (String::from("compliance"), self.compliance.to_value()),
-            (String::from("local_p99_ms"), self.local_p99_ms.to_value()),
-            (
-                String::from("spilled_p99_ms"),
-                self.spilled_p99_ms.to_value(),
-            ),
-            (
-                String::from("displaced_segments"),
-                self.displaced_segments.to_value(),
-            ),
-            (
-                String::from("reconfigured_gpus"),
-                self.reconfigured_gpus.to_value(),
-            ),
-            (
-                String::from("migrated_segments"),
-                self.migrated_segments.to_value(),
-            ),
-            (
-                String::from("replacement_nodes"),
-                self.replacement_nodes.to_value(),
-            ),
-            (
-                String::from("recovery_latency_ms"),
-                self.recovery_latency_ms.to_value(),
-            ),
-            (String::from("precopied_gib"), self.precopied_gib.to_value()),
-            (
-                String::from("nodes_in_service"),
-                self.nodes_in_service.to_value(),
-            ),
-            (String::from("usd_per_hour"), self.usd_per_hour.to_value()),
-        ];
-        if let Some(resilience) = &self.resilience {
-            map.push((String::from("resilience"), resilience.to_value()));
-        }
-        Value::Map(map)
-    }
 }
 
 /// One federation interval.
@@ -153,7 +100,7 @@ impl IntervalOutcome {
 }
 
 /// Full outcome of a federation run.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FederationReport {
     /// Master seed of the run.
     pub seed: u64,
@@ -167,25 +114,8 @@ pub struct FederationReport {
     /// including the interval-0 baseline, aggregated across regions.
     /// `None` (and omitted from the serialized form) when the run had no
     /// tenants configured.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub billing: Option<BillingReport>,
-}
-
-// Hand-written so tenant-free runs serialize exactly as before the tenant
-// layer existed: `billing` is emitted only when present.
-impl Serialize for FederationReport {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            (String::from("seed"), self.seed.to_value()),
-            (String::from("region_names"), self.region_names.to_value()),
-            (String::from("baseline"), self.baseline.to_value()),
-            (String::from("intervals"), self.intervals.to_value()),
-        ];
-        if let Some(billing) = &self.billing {
-            map.push((String::from("billing"), billing.to_value()));
-        }
-        Value::Map(map)
-    }
 }
 
 impl FederationReport {

@@ -2,10 +2,10 @@
 
 use crate::recovery::RecoverySimReport;
 use parva_des::LatencyHistogram;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Per-service serving outcome.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceReport {
     /// Service id.
     pub service_id: u32,
@@ -23,63 +23,28 @@ pub struct ServiceReport {
     pub latency: LatencyHistogram,
     /// Requests rejected at ingress because the owning tenant was over its
     /// admission quota. Always zero without tenant quotas.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub rejected: u64,
     /// Per-attempt queueing timeouts fired in-window. Always zero without
     /// a resilience policy ([`crate::ResilienceSpec`]).
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub timeouts: u64,
     /// Timed-out requests re-enqueued (post-backoff) in-window.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub retries: u64,
     /// Requests dropped by queue-depth load shedding in-window.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub shed: u64,
     /// Hedge copies dispatched to a second server in-window.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub hedges: u64,
     /// Batched requests whose hedge copy won the race in-window.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub hedge_wins: u64,
 }
 
-// Hand-written so quota-free runs serialize exactly as before the tenant
-// layer existed (`rejected` only when non-zero) and resilience-free runs
-// exactly as before the resilience layer existed (counters only when
-// non-zero).
-impl Serialize for ServiceReport {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            (String::from("service_id"), self.service_id.to_value()),
-            (String::from("offered"), self.offered.to_value()),
-            (String::from("completed"), self.completed.to_value()),
-            (String::from("batches"), self.batches.to_value()),
-            (
-                String::from("violated_batches"),
-                self.violated_batches.to_value(),
-            ),
-            (
-                String::from("completed_within_slo"),
-                self.completed_within_slo.to_value(),
-            ),
-            (String::from("latency"), self.latency.to_value()),
-        ];
-        if self.rejected != 0 {
-            map.push((String::from("rejected"), self.rejected.to_value()));
-        }
-        for (key, v) in [
-            ("timeouts", self.timeouts),
-            ("retries", self.retries),
-            ("shed", self.shed),
-            ("hedges", self.hedges),
-            ("hedge_wins", self.hedge_wins),
-        ] {
-            if v != 0 {
-                map.push((String::from(key), v.to_value()));
-            }
-        }
-        Value::Map(map)
-    }
+fn is_zero(n: &u64) -> bool {
+    *n == 0
 }
 
 /// Rollup of the resilience counters across services — the shape the
@@ -239,7 +204,7 @@ pub struct ServerActivity {
 }
 
 /// Full serving report for one deployment run.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServingReport {
     /// Measurement window length, seconds.
     pub duration_s: f64,
@@ -259,26 +224,8 @@ pub struct ServingReport {
     pub recovery: Option<RecoverySimReport>,
     /// Per-tenant rollups ([`TenantReport`]); empty (and omitted from the
     /// serialized form) when the run had no tenants configured.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub tenants: Vec<TenantReport>,
-}
-
-// Hand-written so tenant-free runs serialize exactly as before the tenant
-// layer existed: `tenants` is emitted only when non-empty.
-impl Serialize for ServingReport {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            (String::from("duration_s"), self.duration_s.to_value()),
-            (String::from("services"), self.services.to_value()),
-            (String::from("servers"), self.servers.to_value()),
-            (String::from("classes"), self.classes.to_value()),
-            (String::from("recovery"), self.recovery.to_value()),
-        ];
-        if !self.tenants.is_empty() {
-            map.push((String::from("tenants"), self.tenants.to_value()));
-        }
-        Value::Map(map)
-    }
 }
 
 impl ServingReport {

@@ -22,7 +22,7 @@
 //! property-tested against the frozen reference, the same discipline as
 //! tenant neutrality.
 
-use serde::{find_field, Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Frontend resilience policy for a serving run.
 ///
@@ -51,7 +51,8 @@ use serde::{find_field, Deserialize, Error, Serialize, Value};
 ///   GPU has recovery work outstanding and re-admits them on
 ///   `GpuRecovered`, like a health-checked load balancer draining dark
 ///   replicas toward live ones.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ResilienceSpec {
     /// Per-attempt queueing timeout, ms (`0` disables timeouts/retries).
     pub timeout_ms: f64,
@@ -134,87 +135,10 @@ impl ResilienceSpec {
     }
 }
 
-// Hand-written: the vendored derive only defaults to `Default::default()`
-// of the field *type* (zero), but several fields here have non-zero
-// defaults (backoff shape, `health_checked: true`), and a spec block
-// should be able to name any subset of fields.
-impl Deserialize for ResilienceSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("resilience: expected a map"))?;
-        let d = Self::default();
-        let f64_or = |key: &str, default: f64| -> Result<f64, Error> {
-            match find_field(map, key) {
-                Some(v) => f64::from_value(v),
-                None => Ok(default),
-            }
-        };
-        let u32_or = |key: &str, default: u32| -> Result<u32, Error> {
-            match find_field(map, key) {
-                Some(v) => u32::from_value(v),
-                None => Ok(default),
-            }
-        };
-        let bool_or = |key: &str, default: bool| -> Result<bool, Error> {
-            match find_field(map, key) {
-                Some(v) => bool::from_value(v),
-                None => Ok(default),
-            }
-        };
-        Ok(Self {
-            timeout_ms: f64_or("timeout_ms", d.timeout_ms)?,
-            max_retries: u32_or("max_retries", d.max_retries)?,
-            backoff_base_ms: f64_or("backoff_base_ms", d.backoff_base_ms)?,
-            backoff_multiplier: f64_or("backoff_multiplier", d.backoff_multiplier)?,
-            jitter: f64_or("jitter", d.jitter)?,
-            retry_budget_rps: f64_or("retry_budget_rps", d.retry_budget_rps)?,
-            hedge_quantile: f64_or("hedge_quantile", d.hedge_quantile)?,
-            shed_queue_depth: u32_or("shed_queue_depth", d.shed_queue_depth)?,
-            health_checked: bool_or("health_checked", d.health_checked)?,
-        })
-    }
-}
-
-// Hand-written for symmetry: every field is emitted (the spec is config,
-// not a report — stability beats minimality here) in declaration order.
-impl Serialize for ResilienceSpec {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (String::from("timeout_ms"), self.timeout_ms.to_value()),
-            (String::from("max_retries"), self.max_retries.to_value()),
-            (
-                String::from("backoff_base_ms"),
-                self.backoff_base_ms.to_value(),
-            ),
-            (
-                String::from("backoff_multiplier"),
-                self.backoff_multiplier.to_value(),
-            ),
-            (String::from("jitter"), self.jitter.to_value()),
-            (
-                String::from("retry_budget_rps"),
-                self.retry_budget_rps.to_value(),
-            ),
-            (
-                String::from("hedge_quantile"),
-                self.hedge_quantile.to_value(),
-            ),
-            (
-                String::from("shed_queue_depth"),
-                self.shed_queue_depth.to_value(),
-            ),
-            (
-                String::from("health_checked"),
-                self.health_checked.to_value(),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn defaults_are_inert_except_health_checks() {

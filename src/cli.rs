@@ -1146,10 +1146,9 @@ fn audit_billing(
             audit.fail(format!("{what}: no billing gauge row"));
             continue;
         };
-        // The fleet layer's rows carry no tenant_name; only compare it
-        // where the emitter stamped one (the region layer).
-        if let Some(name) = row.str_of("tenant_name") {
-            audit.str(&format!("{what} tenant_name"), name, &b.tenant_name);
+        match row.str_of("tenant_name") {
+            Some(name) => audit.str(&format!("{what} tenant_name"), name, &b.tenant_name),
+            None => audit.fail(format!("{what}: no tenant_name")),
         }
         audit.u64(
             &format!("{what} offered"),

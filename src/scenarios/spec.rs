@@ -19,7 +19,7 @@ use parva_fleet::{ChaosProfile, FleetReport};
 use parva_obs::{NullSink, Recorder, StreamConfig, StreamSink, StreamStats};
 use parva_region::{EvacuationDrill, FederationReport, RttMatrix};
 use parva_serve::{RecoverySpec, ResilienceSpec};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// One service in an explicit [`Workload::Services`] list — the same shape
 /// the `parvactl` JSON service arrays use.
@@ -222,63 +222,52 @@ pub struct DiurnalSpec {
 /// samples its time-series gauges. Unobserved runs ignore the block
 /// entirely, so adding it never perturbs a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct ObservabilitySpec {
     /// Gauge-sampling cadence in simulation milliseconds. Serve mode
     /// samples queue depth / in-flight batches / GPU busy fraction /
     /// per-service SLO attainment on this grid; fleet and region modes
     /// emit one row per chaos interval regardless. 0 disables the serve
     /// sampler (trace spans are unaffected).
-    #[serde(default = "default_sample_every_ms")]
     pub sample_every_ms: u64,
     /// Shard rotation/retention of *streamed* runs
     /// ([`ScenarioSpec::run_streamed`], `parvactl run --stream`).
     /// Batch-observed and unobserved runs ignore the block.
-    #[serde(default)]
     pub streaming: StreamingSpec,
 }
 
 impl Default for ObservabilitySpec {
     fn default() -> Self {
         Self {
-            sample_every_ms: default_sample_every_ms(),
+            sample_every_ms: 100,
             streaming: StreamingSpec::default(),
         }
     }
 }
 
-fn default_sample_every_ms() -> u64 {
-    100
-}
-
 /// The streaming block of an [`ObservabilitySpec`]: how a streamed run's
 /// [`StreamSink`] rotates and retains its shard files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct StreamingSpec {
     /// Lines per shard before rotation (0 = never rotate by count).
-    #[serde(default = "default_shard_max_events")]
     pub shard_max_events: usize,
     /// Trace-lane sim-age per shard in simulation milliseconds (0 =
     /// never rotate by age).
-    #[serde(default)]
     pub rotate_ms: u64,
     /// Newest shards kept per lane; 0 retains everything. Retention
     /// trades the shards-equal-batch-export guarantee for bounded disk.
-    #[serde(default)]
     pub retain_shards: usize,
 }
 
 impl Default for StreamingSpec {
     fn default() -> Self {
         Self {
-            shard_max_events: default_shard_max_events(),
+            shard_max_events: 4096,
             rotate_ms: 0,
             retain_shards: 0,
         }
     }
-}
-
-fn default_shard_max_events() -> usize {
-    4096
 }
 
 impl StreamingSpec {
@@ -341,29 +330,24 @@ impl TenantSpec {
 /// the first entry shapes the whole fleet; in region mode entry `r`
 /// shapes region `r` (missing entries keep the historical market).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct SpotMarketSpec {
     /// Multiplier on the chaos stream's spot-preemption pressure: `1.0`
     /// reproduces the historical event mix bit-exactly, `0` turns
     /// preemptions and warnings off, `>1` widens their band.
-    #[serde(default = "default_preemption_intensity")]
     pub preemption_intensity: f64,
     /// Spot node-hours rent at `on-demand x discount` instead of the
     /// built-in spot multiplier; `None` keeps legacy prices bit-exactly.
-    #[serde(default)]
     pub discount: Option<f64>,
 }
 
 impl Default for SpotMarketSpec {
     fn default() -> Self {
         Self {
-            preemption_intensity: default_preemption_intensity(),
+            preemption_intensity: 1.0,
             discount: None,
         }
     }
-}
-
-fn default_preemption_intensity() -> f64 {
-    1.0
 }
 
 impl SpotMarketSpec {
@@ -375,7 +359,7 @@ impl SpotMarketSpec {
 }
 
 /// Which engine a scenario exercises, with that engine's axes.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Mode {
     /// One scheduled deployment served in the DES.
     Serve {
@@ -425,72 +409,15 @@ pub enum Mode {
         /// cheapest SLO-feasible daytime region and report the USD delta
         /// in the federation's billing ledger. `None` keeps the run bit
         /// for bit identical to the pre-optimizer behavior.
-        #[serde(default)]
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         follow_the_sun: Option<parva_region::FollowTheSun>,
     },
-}
-
-// Hand-written so pre-optimizer specs serialize exactly as the derive
-// used to emit them: the `follow_the_sun` key appears only when set.
-impl Serialize for Mode {
-    fn to_value(&self) -> Value {
-        let (variant, fields) = match self {
-            Self::Serve {
-                scheduler,
-                gpu,
-                ingress,
-                recovery,
-            } => (
-                "Serve",
-                vec![
-                    (String::from("scheduler"), scheduler.to_value()),
-                    (String::from("gpu"), gpu.to_value()),
-                    (String::from("ingress"), ingress.to_value()),
-                    (String::from("recovery"), recovery.to_value()),
-                ],
-            ),
-            Self::Fleet {
-                fleet,
-                intervals,
-                analytic_recovery,
-            } => (
-                "Fleet",
-                vec![
-                    (String::from("fleet"), fleet.to_value()),
-                    (String::from("intervals"), intervals.to_value()),
-                    (
-                        String::from("analytic_recovery"),
-                        analytic_recovery.to_value(),
-                    ),
-                ],
-            ),
-            Self::Region {
-                federation,
-                intervals,
-                drill,
-                diurnal,
-                follow_the_sun,
-            } => {
-                let mut fields = vec![
-                    (String::from("federation"), federation.to_value()),
-                    (String::from("intervals"), intervals.to_value()),
-                    (String::from("drill"), drill.to_value()),
-                    (String::from("diurnal"), diurnal.to_value()),
-                ];
-                if follow_the_sun.is_some() {
-                    fields.push((String::from("follow_the_sun"), follow_the_sun.to_value()));
-                }
-                ("Region", fields)
-            }
-        };
-        Value::Map(vec![(String::from(variant), Value::Map(fields))])
-    }
 }
 
 /// A whole experiment as data. See the module docs and
 /// [`crate::scenarios::builtin_specs`] for worked examples; `README.md`
 /// documents the JSON schema.
-#[derive(Debug, Clone, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Registry name (also the `parvactl run` handle).
     pub name: String,
@@ -513,11 +440,11 @@ pub struct ScenarioSpec {
     pub observability: ObservabilitySpec,
     /// Multi-tenancy: tenant contracts and their service bindings. Empty
     /// means the legacy single-tenant behavior, bit for bit.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub tenants: Vec<TenantSpec>,
     /// Spot markets (fleet: first entry; region: one per region). Empty
     /// keeps the historical chaos mix and prices, bit for bit.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub spot_markets: Vec<SpotMarketSpec>,
     /// Request-lifecycle resilience policy: per-class timeouts, budgeted
     /// retries with backoff, hedged requests, queue-depth load shedding
@@ -525,46 +452,15 @@ pub struct ScenarioSpec {
     /// scenario runs (all three modes). Absent keeps the request
     /// lifecycle and the report bit-identical to the pre-resilience
     /// behavior.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub resilience: Option<ResilienceSpec>,
     /// Fastpod-style serving pods (see [`parvad::PodSpec`]) admitted at
     /// boot, on top of the workload's services: each pod is validated
     /// (model footprint, quota/SM-cap consistency) and lowered to an
     /// appended `ServiceSpec` with the next free id, in every mode. Empty
     /// keeps specs and reports bit-identical to the pre-pod behavior.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub pods: Vec<parvad::PodSpec>,
-}
-
-// Hand-written so tenant-free specs serialize exactly as before the
-// tenant layer existed: the `tenants` and `spot_markets` keys are emitted
-// only when non-empty.
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> Value {
-        let mut map = vec![
-            (String::from("name"), self.name.to_value()),
-            (String::from("description"), self.description.to_value()),
-            (String::from("seed"), self.seed.to_value()),
-            (String::from("window"), self.window.to_value()),
-            (String::from("arrivals"), self.arrivals.to_value()),
-            (String::from("workload"), self.workload.to_value()),
-            (String::from("mode"), self.mode.to_value()),
-            (String::from("observability"), self.observability.to_value()),
-        ];
-        if !self.tenants.is_empty() {
-            map.push((String::from("tenants"), self.tenants.to_value()));
-        }
-        if !self.spot_markets.is_empty() {
-            map.push((String::from("spot_markets"), self.spot_markets.to_value()));
-        }
-        if let Some(resilience) = &self.resilience {
-            map.push((String::from("resilience"), resilience.to_value()));
-        }
-        if !self.pods.is_empty() {
-            map.push((String::from("pods"), self.pods.to_value()));
-        }
-        Value::Map(map)
-    }
 }
 
 /// What a scenario run produced, tagged by engine.

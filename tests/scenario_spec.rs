@@ -2,7 +2,8 @@
 //! execution across all three engines, and determinism of the reports.
 
 use parvagpu::scenarios::{
-    builtin_specs, spec_by_name, ClassSplit, Mode, ScenarioReport, ScenarioSpec, Window, Workload,
+    builtin_specs, spec_by_name, ClassSplit, Mode, ObservabilitySpec, ScenarioReport, ScenarioSpec,
+    SpotMarketSpec, Window, Workload,
 };
 
 /// Every built-in spec serializes → deserializes → re-serializes byte-
@@ -17,6 +18,24 @@ fn builtin_specs_round_trip_byte_identically() {
         let rejson = serde_json::to_string(&back).expect("re-serializable");
         assert_eq!(json, rejson, "round-trip drift in '{}'", spec.name);
     }
+}
+
+/// A partial block fills its missing keys from the block's own `Default`
+/// (the documented values), not from the field type's zero.
+#[test]
+fn partial_blocks_take_their_documented_defaults() {
+    let market: SpotMarketSpec = serde_json::from_str("{\"discount\":0.5}").unwrap();
+    assert_eq!(market.preemption_intensity, 1.0);
+    assert_eq!(market.discount, Some(0.5));
+    let obs: ObservabilitySpec =
+        serde_json::from_str("{\"streaming\":{\"retain_shards\":2}}").unwrap();
+    let defaults = ObservabilitySpec::default();
+    assert_eq!(obs.sample_every_ms, defaults.sample_every_ms);
+    assert_eq!(
+        obs.streaming.shard_max_events,
+        defaults.streaming.shard_max_events
+    );
+    assert_eq!(obs.streaming.retain_shards, 2);
 }
 
 /// Pretty-printed JSON parses too (the on-disk format people will edit).
@@ -34,18 +53,40 @@ fn pretty_json_round_trips() {
     }
 }
 
+/// Keys a spec or report writes only when it uses the feature behind
+/// them (`skip_serializing_if` in the derive).
+const OPT_IN: [&str; 13] = [
+    "tenant",
+    "tenants",
+    "rejected",
+    "timeouts",
+    "retries",
+    "shed",
+    "hedges",
+    "hedge_wins",
+    "billing",
+    "resilience",
+    "follow_the_sun",
+    "spot_markets",
+    "pods",
+];
+
 /// Every registered spec runs at quick scale, lands in the report variant
 /// its mode promises, and produces byte-identical JSON across two runs.
+/// Its spec and report JSON carry the opt-in keys only where it uses the
+/// feature behind them.
 #[test]
 fn every_builtin_runs_deterministically_at_quick_scale() {
+    let (mut plain, mut opted) = (0, 0);
     for spec in builtin_specs() {
         let quick = spec.quick();
         let a = quick
             .run()
             .unwrap_or_else(|e| panic!("'{}' failed: {e}", spec.name));
         let b = quick.run().expect("second run");
+        let report = serde_json::to_string(&a).unwrap();
         assert_eq!(
-            serde_json::to_string(&a).unwrap(),
+            report,
             serde_json::to_string(&b).unwrap(),
             "nondeterministic report from '{}'",
             spec.name
@@ -57,7 +98,41 @@ fn every_builtin_runs_deterministically_at_quick_scale() {
             _ => panic!("'{}' returned the wrong report variant", spec.name),
         }
         assert!(!a.render().is_empty());
+
+        let json = serde_json::to_string(&quick).unwrap() + &report;
+        let has_key = |key: &str| json.contains(&format!("\"{key}\":"));
+        let expected: &[&str] = match spec.name.as_str() {
+            "multi_tenant" => &["tenant", "tenants", "billing", "spot_markets"],
+            "retry_storm" => &["resilience", "timeouts", "retries"],
+            "follow_the_sun" => &["follow_the_sun", "billing"],
+            _ => &[],
+        };
+        if !expected.is_empty() {
+            opted += 1;
+        }
+        for key in expected {
+            assert!(has_key(key), "'{}' lacks `{key}`", spec.name);
+        }
+        let opts_in = !spec.tenants.is_empty()
+            || !spec.spot_markets.is_empty()
+            || !spec.pods.is_empty()
+            || spec.resilience.is_some()
+            || matches!(
+                &spec.mode,
+                Mode::Region {
+                    follow_the_sun: Some(_),
+                    ..
+                }
+            );
+        if !opts_in {
+            plain += 1;
+            for key in OPT_IN {
+                assert!(!has_key(key), "'{}' writes `{key}`", spec.name);
+            }
+        }
     }
+    assert_eq!(opted, 3, "an opt-in builtin is missing from the registry");
+    assert!(plain >= 3, "too few opt-in-free builtins to check");
 }
 
 /// The three specs the registry adds beyond the old binaries exercise

@@ -5,8 +5,9 @@
 //! equality. Plus: audits catch doctored reports, `summary` and `diff`
 //! render, and `tail` replays a finalized stream losslessly.
 //!
-//! CI runs the same audit through the binary for each spec (see the
-//! observability job), so this suite is the in-tree mirror of that gate.
+//! CI runs the same audit through the binary for each spec and each
+//! `examples/specs` file (see the observability job), so this suite is
+//! the in-tree mirror of that gate.
 
 use parvagpu::cli::{
     run_spec_with, run_trace_audit, run_trace_diff, run_trace_summary, run_trace_tail, ObsPaths,
@@ -19,12 +20,18 @@ struct Streamed {
     report: String,
 }
 
-/// Stream one spec at quick scale into a fresh temp dir; returns the
-/// shard dir and the report JSON path.
+/// Stream one registered spec at quick scale into a fresh temp dir.
 fn stream(name: &str) -> Streamed {
+    stream_as(name, name)
+}
+
+/// Stream one spec (a registered name or spec JSON) at quick scale into
+/// a fresh temp dir named `label`; returns the shard dir and the report
+/// JSON path.
+fn stream_as(label: &str, input: &str) -> Streamed {
     let dir = std::env::temp_dir()
         .join("parva-trace-analytics-it")
-        .join(name);
+        .join(label);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let shards = dir.join("shards").to_string_lossy().into_owned();
@@ -32,8 +39,8 @@ fn stream(name: &str) -> Streamed {
         stream: Some(shards.clone()),
         ..ObsPaths::default()
     };
-    let out = run_spec_with(name, true, true, &obs)
-        .unwrap_or_else(|e| panic!("{name} streamed run failed: {e}"));
+    let out = run_spec_with(input, true, true, &obs)
+        .unwrap_or_else(|e| panic!("{label} streamed run failed: {e}"));
     let report = dir.join("report.json").to_string_lossy().into_owned();
     std::fs::write(&report, &out.stdout).unwrap();
     Streamed {
@@ -44,15 +51,30 @@ fn stream(name: &str) -> Streamed {
 }
 
 /// `trace audit` passes — exactly, no tolerance — for every registered
-/// spec across all three engines.
+/// spec across all three engines, then for every on-disk example spec,
+/// as CI's audit step does: `tenant_fleet.json` is the only tenanted
+/// fleet spec, so it is where fleet billing rows, `tenant_name`
+/// included, get audited.
 #[test]
 fn audit_matches_report_for_every_registered_spec() {
-    for spec in builtin_specs() {
-        let s = stream(&spec.name);
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/specs");
+    let examples = std::fs::read_dir(dir).unwrap().map(|entry| {
+        let path = entry.unwrap().path();
+        let stem = path.file_stem().unwrap().to_string_lossy();
+        (
+            format!("spec-{stem}"),
+            std::fs::read_to_string(&path).unwrap(),
+        )
+    });
+    let builtins = builtin_specs()
+        .into_iter()
+        .map(|s| (s.name.clone(), s.name));
+    for (label, input) in builtins.chain(examples) {
+        let s = stream_as(&label, &input);
         let msg = run_trace_audit(&s.shards, &s.report, None, None)
-            .unwrap_or_else(|e| panic!("audit of '{}' diverged:\n{e}", spec.name));
-        assert!(msg.contains("all match"), "{}: {msg}", spec.name);
-        assert!(msg.contains("exact"), "{}: {msg}", spec.name);
+            .unwrap_or_else(|e| panic!("audit of '{label}' diverged:\n{e}"));
+        assert!(msg.contains("all match"), "{label}: {msg}");
+        assert!(msg.contains("exact"), "{label}: {msg}");
     }
 }
 
