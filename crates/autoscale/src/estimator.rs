@@ -9,11 +9,9 @@
 //! which [`DemandEstimator::demand_specs`] turns into the `ServiceSpec`
 //! rates the incremental allocator plans against.
 //!
-//! Every oracle-fed entry point in this crate now routes through this API
-//! (the oracle multiplier becomes a perfect single-epoch observation), so
-//! there is exactly one demand pathway to audit, and the genuinely closed
-//! loop in `parvad` differs from the legacy oracle loop only in *what* is
-//! observed, never in how demand becomes capacity.
+//! The `parvad` daemon's closed loop is the one consumer: it observes each
+//! epoch's arrival counts and plans against [`DemandEstimator::demand_specs`]
+//! on its decision cadence.
 //!
 //! The estimator state is `serde`-serializable so a suspended daemon
 //! resumes its control decisions bit-identically.
@@ -26,8 +24,7 @@ use std::collections::VecDeque;
 /// rates.
 ///
 /// With `window = 1` and `headroom = 1.0` the estimate is exactly the last
-/// observation — the configuration the legacy oracle paths use, making
-/// "oracle demand" a degenerate case of observed demand.
+/// observation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DemandEstimator {
     window: usize,

@@ -7,27 +7,26 @@
 //! its segments are relocated, and unaffected GPUs keep serving; shadow
 //! processes bridge the brief MIG/MPS reconfiguration window.
 //!
-//! This crate closes the loop: [`RateTrace`] describes per-epoch load
-//! multipliers (diurnal curves, spikes, ramps), and [`run_traced`] walks the
-//! epochs — rescheduling **incrementally** through
-//! [`parva_core::reconfigure`], serving each epoch in the simulator, and
-//! accounting fleet size, SLO compliance and reconfiguration churn per
-//! epoch. The result quantifies what the paper only argues: that ParvaGPU's
-//! two-stage scheduler is cheap and local enough to chase load.
+//! This crate holds the two pieces of that story the control loops share:
+//!
+//! * [`DemandEstimator`] turns *observed* per-service arrivals into the
+//!   rates the incremental allocator plans against — the `parvad` daemon's
+//!   closed loop runs on it;
+//! * [`shadow`] builds and simulates the §III-F shadow-process window for
+//!   capacity that goes dark — the fleet orchestrator runs it on every
+//!   displacement.
+//!
+//! What a re-slice costs is priced once, for the fleet and the daemon
+//! alike, by [`parva_serve::recovery`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod estimator;
-pub mod orchestrator;
 pub mod shadow;
-pub mod trace;
 
 pub use estimator::DemandEstimator;
-#[allow(deprecated)]
-pub use orchestrator::{run_traced, EpochReport, TraceReport};
 pub use shadow::{
     displacement_window, simulate_displacement_window, simulate_window, DisplacementWindow,
     DisruptionReport,
 };
-pub use trace::RateTrace;

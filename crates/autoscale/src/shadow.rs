@@ -18,7 +18,7 @@
 //!
 //! The gap between (2) and (3) is the §III-F claim: shadow processes keep
 //! the affected services' compliance at control levels for the price of
-//! [`parva_core::reconfigure::ShadowPlan::spare_gpus`] temporary GPUs.
+//! [`DisplacementWindow::shadow_gpus`] temporary GPUs.
 
 use parva_core::reconfigure::ReconfigOutcome;
 use parva_deploy::{Deployment, MigDeployment, PlacedSegment, ServiceSpec};
@@ -257,16 +257,20 @@ mod tests {
     }
 
     #[test]
-    fn shadow_fleet_size_matches_static_plan_bound() {
+    fn shadow_fleet_size_matches_the_torn_down_capacity() {
         let (before, outcome, _) = churned();
-        let plan = outcome.shadow_plan(&before);
-        let report = simulate_window(&before, &outcome, &Scenario::S2.services(), &quick());
-        // The static plan's spare-GPU bound must cover the simulated fleet.
+        let window = displacement_window(&before, &outcome.reconfigured_gpus);
+        // First-fit packing of the doomed segments needs at most one spare
+        // GPU more than their GPCs fill (7 GPCs per GPU).
+        let torn_down: u32 = doomed_segments(&before, &outcome.reconfigured_gpus)
+            .iter()
+            .map(|ps| u32::from(ps.segment.gpcs()))
+            .sum();
+        let bound = torn_down.div_ceil(u32::from(parva_mig::COMPUTE_SLICES)) + 1;
         assert!(
-            report.shadow_gpus as u32 <= plan.spare_gpus + 1,
-            "simulated {} spare GPUs vs planned bound {}",
-            report.shadow_gpus,
-            plan.spare_gpus
+            window.shadow_gpus as u32 <= bound,
+            "{} spare GPUs for {torn_down} torn-down GPCs",
+            window.shadow_gpus
         );
     }
 }

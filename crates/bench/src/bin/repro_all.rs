@@ -161,5 +161,5 @@ fn main() {
     println!(
         "  cost_table, disc_llm, ext_shadow                  (cost + \u{a7}V/\u{a7}III-F analyses)"
     );
-    println!("  ablation_threshold, ablation_profile_noise, ablation_burstiness, autoscale_trace");
+    println!("  ablation_threshold, ablation_profile_noise, ablation_burstiness");
 }

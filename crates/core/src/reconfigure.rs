@@ -26,44 +26,6 @@ pub struct ReconfigOutcome {
     pub reconfigured_gpus: Vec<usize>,
 }
 
-/// Service-continuity plan for the reconfiguration window (paper §III-F:
-/// "services undergoing reconfiguration can continue operating using shadow
-/// processes on spare GPUs").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShadowPlan {
-    /// Services with at least one segment on a reconfiguring GPU — these
-    /// need shadow processes for the duration of the switch.
-    pub services: Vec<u32>,
-    /// GPCs of capacity being torn down simultaneously (worst case: all
-    /// changed GPUs reconfigure at once).
-    pub shadow_gpcs: u32,
-    /// Spare GPUs needed to host that shadow capacity (7 GPCs per GPU).
-    pub spare_gpus: u32,
-}
-
-impl ReconfigOutcome {
-    /// Derive the shadow-process plan from the pre-reconfiguration map.
-    #[must_use]
-    pub fn shadow_plan(&self, before: &MigDeployment) -> ShadowPlan {
-        let mut services: Vec<u32> = Vec::new();
-        let mut shadow_gpcs: u32 = 0;
-        for &gpu in &self.reconfigured_gpus {
-            for ps in before.segments_on(gpu) {
-                shadow_gpcs += u32::from(ps.segment.gpcs());
-                if !services.contains(&ps.segment.service_id) {
-                    services.push(ps.segment.service_id);
-                }
-            }
-        }
-        services.sort_unstable();
-        ShadowPlan {
-            services,
-            shadow_gpcs,
-            spare_gpus: shadow_gpcs.div_ceil(u32::from(parva_mig::COMPUTE_SLICES)),
-        }
-    }
-}
-
 /// Apply an updated spec for one service to an existing deployment.
 ///
 /// `services` is the current full service set (the entry with the same id

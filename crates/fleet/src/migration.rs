@@ -5,30 +5,18 @@
 //! the physical diff: which segments land on a different physical GPU (and
 //! must reload weights there), which physical GPUs change MIG layout (and
 //! must re-flash, paper §III-F's "milliseconds to a few seconds" window),
-//! and how many GPCs are left stranded on in-service GPUs afterwards.
+//! and how many GPCs are left stranded on in-service GPUs afterwards. The
+//! per-GPU work and its price come from [`parva_serve::recovery`], the one
+//! recovery model the `parvad` daemon pays as well.
 
 use crate::node::{Fleet, GpuSlot};
 use crate::placer::FleetPlacement;
 use parva_deploy::{DeploymentDiff, MigDeployment, ReconfigOp, Slot};
-use parva_mig::Placement;
 use parva_perf::PerfParams;
-use parva_serve::{RecoveryOp, RecoverySpec};
+use parva_serve::recovery::{CONTROL_PLANE_MS, MIG_REFLASH_MS, WEIGHT_COPY_GIB_PER_S};
+use parva_serve::{lower_diff, RecoveryOp, RecoverySpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Fixed cost of re-flashing one GPU's MIG layout (destroy + create
-/// instances via NVML), milliseconds. Re-flashes run in parallel across
-/// *nodes*, but NVML serializes re-flashes on the same node, so the
-/// analytic model charges the worst per-node re-flash count as one wave
-/// per queued GPU.
-pub const MIG_REFLASH_MS: f64 = 800.0;
-
-/// Host-to-device copy bandwidth for reloading model weights on the target
-/// GPU, GiB/s (PCIe Gen4 x16 effective).
-pub const WEIGHT_COPY_GIB_PER_S: f64 = 22.0;
-
-/// Scheduler + control-plane overhead charged per recovery, milliseconds.
-pub const CONTROL_PLANE_MS: f64 = 150.0;
 
 /// The physical movement a recovery implies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -66,15 +54,6 @@ fn physical_slots<'a>(
         .filter_map(|(gpu, p, segment)| placement.slot_of(gpu).map(|slot| (slot, p, segment)))
 }
 
-/// One physical GPU's share of a diff: placements torn down, placements
-/// built, and the weights the built segments load, GiB.
-#[derive(Default)]
-struct GpuChange {
-    destroyed: Vec<Placement>,
-    created: Vec<Placement>,
-    copy_gib: f64,
-}
-
 impl MigrationPlan {
     /// Diff two `(deployment, placement)` states into a migration plan.
     ///
@@ -90,32 +69,18 @@ impl MigrationPlan {
         fleet: &Fleet,
     ) -> Self {
         let diff = DeploymentDiff::between(physical_slots(before), physical_slots(after));
-        let mut changes: BTreeMap<GpuSlot, GpuChange> = BTreeMap::new();
+        // Fleet-wide totals over the creates in diff order; summing the
+        // per-GPU ops instead would reorder the f64 additions.
         let mut migrated = 0usize;
         let mut weight_copy_gib = 0.0;
         for op in &diff.ops {
-            match *op {
-                ReconfigOp::Destroy {
-                    device, placement, ..
-                } => changes.entry(device).or_default().destroyed.push(placement),
-                ReconfigOp::Create {
-                    device,
-                    placement,
-                    segment,
-                } => {
-                    let weights = PerfParams::for_model(segment.model).weights_gib;
-                    migrated += 1;
-                    weight_copy_gib += weights;
-                    let change = changes.entry(device).or_default();
-                    change.created.push(placement);
-                    change.copy_gib += weights;
-                }
-                ReconfigOp::RetuneMps { .. } => {}
+            if let ReconfigOp::Create { segment, .. } = op {
+                migrated += 1;
+                weight_copy_gib += PerfParams::for_model(segment.model).weights_gib;
             }
         }
 
-        // GPCs in use per physical GPU after recovery; its keys are the
-        // GPUs still occupied.
+        // GPCs in use per physical GPU after recovery.
         let mut used: BTreeMap<GpuSlot, u32> = BTreeMap::new();
         for (slot, _, segment) in physical_slots(after) {
             *used.entry(slot).or_insert(0) += u32::from(segment.gpcs());
@@ -124,36 +89,13 @@ impl MigrationPlan {
         // injective: each logical GPU owns one slot).
         let logical_of: BTreeMap<GpuSlot, usize> =
             after.1.slots.iter().map(|&(l, s)| (s, l)).collect();
-
-        // Lower the physical work to per-GPU recovery ops, slot order. GPUs
-        // that went fully dark on *surviving* nodes re-flash to empty after
-        // them; dead nodes' GPUs do not — nobody is left to flash them.
-        let mut ops: Vec<RecoveryOp> = Vec::new();
-        let mut vacated: Vec<RecoveryOp> = Vec::new();
-        for (slot, mut change) in changes {
-            if !used.contains_key(&slot) {
-                if fleet.node(slot.node).alive {
-                    vacated.push(RecoveryOp {
-                        node: slot.node,
-                        logical_gpu: None,
-                        reflash: true,
-                        copy_gib: 0.0,
-                        prepared: false,
-                    });
-                }
-                continue;
-            }
-            change.destroyed.sort_unstable();
-            change.created.sort_unstable();
-            ops.push(RecoveryOp {
-                node: slot.node,
-                logical_gpu: logical_of.get(&slot).copied(),
-                reflash: change.destroyed != change.created,
-                copy_gib: change.copy_gib,
-                prepared: false,
-            });
-        }
-        ops.extend(vacated);
+        let ops = lower_diff(&diff, |slot| {
+            (
+                slot.node,
+                fleet.node(slot.node).alive,
+                logical_of.get(&slot).copied(),
+            )
+        });
         let reflashed = ops.iter().filter(|o| o.reflash).count();
 
         // Worst per-node re-flash queue (NVML serializes within a node).
@@ -222,7 +164,7 @@ impl MigrationPlan {
     /// only the control-plane delay remains to be paid live.
     #[must_use]
     pub fn to_recovery_spec(&self, start_ms: f64, prepared: bool) -> RecoverySpec {
-        let spec = recovery_spec_from_ops(self.ops.clone(), start_ms);
+        let spec = RecoverySpec::from_ops(self.ops.clone(), start_ms);
         if prepared {
             spec.prepared()
         } else {
@@ -261,22 +203,7 @@ impl MigrationPlan {
                 ops[i].prepared = true;
             }
         }
-        recovery_spec_from_ops(ops, start_ms)
-    }
-}
-
-/// Assemble a serving-DES recovery spec from already-lowered ops, wiring
-/// in the fleet's physical constants (control plane, re-flash cost, PCIe
-/// bandwidth). Shared by [`MigrationPlan::to_recovery_spec`] and callers
-/// that accumulate ops across several plans (the region federation).
-#[must_use]
-pub fn recovery_spec_from_ops(ops: Vec<RecoveryOp>, start_ms: f64) -> RecoverySpec {
-    RecoverySpec {
-        start_ms,
-        control_plane_ms: CONTROL_PLANE_MS,
-        reflash_ms: MIG_REFLASH_MS,
-        link_gib_per_s: WEIGHT_COPY_GIB_PER_S,
-        ops,
+        RecoverySpec::from_ops(ops, start_ms)
     }
 }
 

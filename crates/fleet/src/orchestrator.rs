@@ -868,7 +868,7 @@ impl FleetOrchestrator {
                 migration.to_partial_recovery_spec(
                     start_ms,
                     parva_scenarios::warning_precopy_budget_gib(
-                        crate::migration::WEIGHT_COPY_GIB_PER_S,
+                        parva_serve::recovery::WEIGHT_COPY_GIB_PER_S,
                     ),
                 )
             } else {
@@ -1525,7 +1525,7 @@ mod tests {
 
     #[test]
     fn warned_preemption_shrinks_the_measured_dip() {
-        use crate::migration::CONTROL_PLANE_MS;
+        use parva_serve::recovery::CONTROL_PLANE_MS;
         let book = ProfileBook::builtin();
         let serving = quick_config(5, 1).serving;
         let mut cold =
@@ -1565,7 +1565,7 @@ mod tests {
 
     #[test]
     fn simulated_recovery_sits_inside_the_analytic_envelope() {
-        use crate::migration::{CONTROL_PLANE_MS, MIG_REFLASH_MS};
+        use parva_serve::recovery::{CONTROL_PLANE_MS, MIG_REFLASH_MS};
         let book = ProfileBook::builtin();
         let mut orchestrator =
             FleetOrchestrator::bootstrap(&book, &base_specs(), &FleetSpec::mixed_demo(2)).unwrap();
@@ -1602,7 +1602,8 @@ mod tests {
         );
         // And the analytic estimate agrees with the DES within the copy
         // contention it cannot see (the only term it models optimistically).
-        let tolerance = plan.weight_copy_gib / crate::migration::WEIGHT_COPY_GIB_PER_S * 1_000.0;
+        let tolerance =
+            plan.weight_copy_gib / parva_serve::recovery::WEIGHT_COPY_GIB_PER_S * 1_000.0;
         assert!(
             (outcome.simulated_recovery_ms - plan.recovery_latency_ms).abs() <= tolerance + eps,
             "sim {:.1} vs analytic {:.1} beyond copy tolerance {:.1}",

@@ -261,7 +261,7 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::migration::CONTROL_PLANE_MS;
+    use parva_serve::recovery::CONTROL_PLANE_MS;
 
     fn outcome(dip: f64, after: f64) -> EventOutcome {
         EventOutcome {

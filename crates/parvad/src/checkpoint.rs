@@ -3,7 +3,7 @@
 //! A checkpoint is a single JSON document:
 //!
 //! ```json
-//! {"schema":"parvad/checkpoint/v2","checksum":1234567890,"state":{…}}
+//! {"schema":"parvad/checkpoint/v3","checksum":1234567890,"state":{…}}
 //! ```
 //!
 //! `state` is the full serialized [`crate::Daemon`]; `checksum` is FNV-1a
@@ -12,9 +12,11 @@
 //! interpreted, so a truncated, hand-edited or bit-flipped file fails
 //! loudly ("checkpoint checksum mismatch") instead of resuming a subtly
 //! corrupted simulation. The schema tag changes whenever the state's shape
-//! does, so a checkpoint of another shape is refused by name ("unsupported
-//! checkpoint schema") rather than by whichever field first fails to
-//! decode.
+//! or meaning does, so a checkpoint of another shape is refused by name
+//! ("unsupported checkpoint schema") rather than by whichever field first
+//! fails to decode. A checksum only proves the state is the one that was
+//! written, not that it is sane: [`crate::run_daemon`] also refuses a
+//! state with a zero epoch length or per-service lists of unequal length.
 //!
 //! Canonical-form note: checksum stability across encode → parse → re-encode
 //! relies on the vendored `serde_json` printing every `f64` in shortest
@@ -25,10 +27,11 @@
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
-/// Schema tag of the current checkpoint format: v2 carries the unified
-/// serving engine (calendar-queue events, no cached perf memos or
-/// deployment copy).
-pub const SCHEMA: &str = "parvad/checkpoint/v2";
+/// Schema tag of the current checkpoint format: v3 prices recovery with
+/// the fleet's model, so the autoscale policy no longer carries recovery
+/// knobs (v2 introduced the unified serving engine: calendar-queue events,
+/// no cached perf memos or deployment copy).
+pub const SCHEMA: &str = "parvad/checkpoint/v3";
 
 /// FNV-1a, 64-bit — tiny, dependency-free, deterministic.
 #[must_use]
@@ -175,6 +178,51 @@ mod tests {
         assert!(err.contains("unsupported checkpoint schema"), "{err}");
         let err = decode_checkpoint::<crate::Daemon>(&doc(SCHEMA)).unwrap_err();
         assert!(err.contains("does not decode"), "{err}");
+    }
+
+    #[test]
+    fn v2_checkpoint_is_refused_by_schema_not_by_field() {
+        // A v2 daemon priced recovery with four knobs of its own policy.
+        // Decoding ignores unknown keys, so only the schema tag stands
+        // between a v2 state and a daemon that silently re-prices it.
+        let daemon = crate::Daemon::new(
+            &[parva_deploy::ServiceSpec::new(
+                1,
+                parva_perf::Model::ResNet50,
+                400.0,
+                40.0,
+            )],
+            parva_serve::ArrivalProcess::Poisson,
+            11,
+            500_000,
+            crate::AutoscalePolicy::default(),
+        )
+        .unwrap();
+        let mut state = daemon.to_value();
+        let Value::Map(fields) = &mut state else {
+            panic!("daemon state is a map")
+        };
+        let Some((_, Value::Map(policy))) = fields.iter_mut().find(|(k, _)| k == "policy") else {
+            panic!("daemon state has a policy map")
+        };
+        for (knob, v2_default) in [
+            ("control_plane_ms", 50.0),
+            ("reflash_ms", 400.0),
+            ("link_gib_per_s", 16.0),
+            ("copy_gib", 1.0),
+        ] {
+            policy.push((knob.to_string(), Value::Float(v2_default)));
+        }
+        let state = serde_json::to_string(&state).unwrap();
+        let doc = |schema: &str| {
+            format!(
+                r#"{{"schema":"{schema}","checksum":{},"state":{state}}}"#,
+                fnv1a64(state.as_bytes())
+            )
+        };
+        let err = decode_checkpoint::<crate::Daemon>(&doc("parvad/checkpoint/v2")).unwrap_err();
+        assert!(err.contains("unsupported checkpoint schema"), "{err}");
+        decode_checkpoint::<crate::Daemon>(&doc(SCHEMA)).unwrap();
     }
 
     #[test]

@@ -111,9 +111,13 @@ impl TraceSink for TeeSink<'_> {
 /// Drive `daemon` to completion under `opts`.
 ///
 /// # Errors
-/// Socket, filesystem or checkpoint failures, as strings. Control-socket
-/// request errors are reported to the client, never fatal to the daemon.
+/// A daemon state that breaks its invariants (a zero epoch length or
+/// per-service lists of unequal length: an edited checkpoint whose
+/// checksum still holds), or socket, filesystem or checkpoint failures,
+/// as strings. Control-socket request errors are reported to the client,
+/// never fatal to the daemon.
 pub fn run_daemon(daemon: &mut Daemon, opts: &DaemonOpts) -> Result<DaemonOutcome, String> {
+    daemon.validate()?;
     let listener = match &opts.listen {
         Some(addr) => {
             let l = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;

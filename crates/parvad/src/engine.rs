@@ -19,17 +19,29 @@
 //!    into target rates, skip services within the hysteresis band, re-plan
 //!    the rest through the paper's §III-F incremental path
 //!    ([`parva_core::reconfigure::update_service`]), and actuate through
-//!    the measured-recovery path — re-sliced GPUs go dark for a real
-//!    reflash + weight-copy latency before serving again.
+//!    the measured-recovery path.
+//!
+//! Actuation (after a decision or a pod admission) diffs the deployment
+//! before it against the one after and prices that one net diff with the
+//! fleet's recovery model ([`parva_serve::lower_diff`]): a GPU whose
+//! layout changed re-flashes, every created segment copies its model's
+//! weights, and a GPU that only swapped services copies without a
+//! re-flash. Logical GPU `g` sits on node `g / GPUS_PER_NODE`, eight GPUs
+//! to a node. Those GPUs go dark for the simulated recovery latency before
+//! serving again.
 
 use crate::pod::PodSpec;
 use parva_autoscale::DemandEstimator;
 use parva_core::{reconfigure, ParvaGpu, Service};
-use parva_deploy::{Deployment, MigDeployment, ServiceSpec};
+use parva_deploy::{Deployment, DeploymentDiff, MigDeployment, ServiceSpec};
 use parva_obs::{Row, TraceSink};
 use parva_profile::ProfileBook;
-use parva_serve::{ArrivalProcess, Engine, RecoveryOp, RecoverySpec, ResilienceSpec, Simulation};
+use parva_serve::{lower_diff, ArrivalProcess, Engine, RecoverySpec, ResilienceSpec, Simulation};
 use serde::{Deserialize, Serialize};
+
+/// GPUs per node: logical GPU `g` re-flashes and copies on node
+/// `g / GPUS_PER_NODE`.
+const GPUS_PER_NODE: usize = 8;
 
 /// Closed-loop autoscaler policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,14 +55,6 @@ pub struct AutoscalePolicy {
     /// Relative rate change (vs the last plan) below which a service is
     /// left alone — the anti-flapping band.
     pub hysteresis: f64,
-    /// Control-plane reaction delay before physical work starts, ms.
-    pub control_plane_ms: f64,
-    /// One MIG re-flash on a churned GPU, ms.
-    pub reflash_ms: f64,
-    /// Host-to-device weight-copy bandwidth per node, GiB/s.
-    pub link_gib_per_s: f64,
-    /// Model weights copied onto each churned GPU, GiB.
-    pub copy_gib: f64,
 }
 
 impl Default for AutoscalePolicy {
@@ -60,10 +64,6 @@ impl Default for AutoscalePolicy {
             window: 4,
             headroom: 1.1,
             hysteresis: 0.15,
-            control_plane_ms: 50.0,
-            reflash_ms: 400.0,
-            link_gib_per_s: 16.0,
-            copy_gib: 1.0,
         }
     }
 }
@@ -108,7 +108,8 @@ pub struct DaemonStatus {
     pub decisions: u64,
     /// Incremental reconfigurations applied (services re-planned).
     pub reconfigs: u64,
-    /// GPUs physically re-sliced across all decisions.
+    /// GPUs that paid recovery work (a re-flash, a weight copy or both)
+    /// across all decisions and admissions.
     pub churned_gpus: u64,
     /// Σ (deployment size × epochs) — the provisioning bill, GPU-epochs.
     pub gpu_epochs: u64,
@@ -205,6 +206,29 @@ impl Daemon {
             draining: false,
             next_id,
         })
+    }
+
+    /// Check what a checkpoint's checksum cannot vouch for: a positive
+    /// epoch, and one entry per service in every per-service list. `Err`
+    /// names the broken invariant.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.epoch_us == 0 {
+            return Err("invalid daemon state: epoch_us > 0 does not hold".to_string());
+        }
+        let n = self.base.len();
+        let lens = [
+            ("planned", self.planned.len()),
+            ("names", self.names.len()),
+            ("multipliers", self.multipliers.len()),
+            ("services", self.services.len()),
+        ];
+        match lens.iter().find(|&&(_, len)| len != n) {
+            Some((list, len)) => Err(format!(
+                "invalid daemon state: base, planned, names, multipliers and services \
+                 must all have the same length (base has {n}, {list} has {len})"
+            )),
+            None => Ok(()),
+        }
     }
 
     fn scheduler() -> ParvaGpu {
@@ -312,7 +336,9 @@ impl Daemon {
         self.decisions += 1;
         let demand = self.estimator.demand_specs(&self.base);
         let scheduler = Self::scheduler();
-        let mut churned: Vec<usize> = Vec::new();
+        // The deployment before the first re-plan: actuation diffs it
+        // against the final one.
+        let mut before: Option<MigDeployment> = None;
         let mut applied: u64 = 0;
         let mut infeasible: u64 = 0;
         for (i, d) in demand.iter().enumerate() {
@@ -323,7 +349,8 @@ impl Daemon {
             }
             match reconfigure::update_service(&scheduler, &self.deployment, &self.services, *d) {
                 Ok(out) => {
-                    self.deployment = out.deployment;
+                    let old = std::mem::replace(&mut self.deployment, out.deployment);
+                    before.get_or_insert(old);
                     let slot = self
                         .services
                         .iter_mut()
@@ -331,7 +358,6 @@ impl Daemon {
                         .expect("planned service exists");
                     *slot = out.service;
                     self.planned[i] = *d;
-                    churned.extend(out.reconfigured_gpus);
                     applied += 1;
                 }
                 Err(_) => {
@@ -341,19 +367,8 @@ impl Daemon {
                 }
             }
         }
-        churned.sort_unstable();
-        churned.dedup();
-        if applied > 0 {
-            self.reconfigs += applied;
-            self.churned_gpus += churned.len() as u64;
-            let recovery = self.recovery_for(&churned);
-            self.engine.reconfigure(
-                &Deployment::Mig(self.deployment.clone()),
-                &self.planned,
-                recovery.as_ref(),
-                sink,
-            );
-        }
+        self.reconfigs += applied;
+        let churned = before.map_or(0, |before| self.actuate(&before, sink));
         sink.sample(
             Row::new()
                 .str("kind", "parvad-decision")
@@ -361,34 +376,28 @@ impl Daemon {
                 .u64("decision", self.decisions)
                 .u64("applied", applied)
                 .u64("infeasible", infeasible)
-                .u64("churned_gpus", churned.len() as u64)
+                .u64("churned_gpus", churned)
                 .u64("gpus", self.deployment.gpu_count() as u64),
         );
     }
 
-    /// Lower churned-GPU indices to a measured-recovery plan: each
-    /// re-sliced GPU pays the control-plane delay, a MIG re-flash
-    /// (serialized per 8-GPU node) and a weight copy before serving again.
-    fn recovery_for(&self, churned: &[usize]) -> Option<RecoverySpec> {
-        if churned.is_empty() {
-            return None;
-        }
-        Some(RecoverySpec {
-            start_ms: 0.0,
-            control_plane_ms: self.policy.control_plane_ms,
-            reflash_ms: self.policy.reflash_ms,
-            link_gib_per_s: self.policy.link_gib_per_s,
-            ops: churned
-                .iter()
-                .map(|&g| RecoveryOp {
-                    node: g / 8,
-                    logical_gpu: Some(g),
-                    reflash: true,
-                    copy_gib: self.policy.copy_gib,
-                    prepared: false,
-                })
-                .collect(),
-        })
+    /// Serve the live deployment and the planned rates, moving from
+    /// `before`: the one net diff between the two deployments is lowered
+    /// to recovery ops, whose GPUs go dark until their re-flash and weight
+    /// copy finish. Returns how many GPUs paid recovery work.
+    fn actuate<S: TraceSink>(&mut self, before: &MigDeployment, sink: &mut S) -> u64 {
+        let diff = DeploymentDiff::between(before.slots(), self.deployment.slots());
+        let ops = lower_diff(&diff, |g| (g / GPUS_PER_NODE, true, Some(g)));
+        let recovery = RecoverySpec::from_ops(ops, 0.0);
+        let churned = recovery.ops.len() as u64;
+        self.churned_gpus += churned;
+        self.engine.reconfigure(
+            &Deployment::Mig(self.deployment.clone()),
+            &self.planned,
+            Some(&recovery),
+            sink,
+        );
+        churned
     }
 
     /// Admit a pod: validate, plan it incrementally into the live
@@ -410,7 +419,7 @@ impl Daemon {
         let out =
             reconfigure::update_service(&Self::scheduler(), &self.deployment, &self.services, spec)
                 .map_err(|e| format!("admission failed: {e}"))?;
-        self.deployment = out.deployment;
+        let before = std::mem::replace(&mut self.deployment, out.deployment);
         self.services.push(out.service);
         self.base.push(spec);
         self.planned.push(spec);
@@ -418,18 +427,8 @@ impl Daemon {
         self.multipliers.push(1.0);
         self.pods.push(pod.clone());
         self.next_id = id + 1;
-        let mut churned = out.reconfigured_gpus;
-        churned.sort_unstable();
-        churned.dedup();
         self.reconfigs += 1;
-        self.churned_gpus += churned.len() as u64;
-        let recovery = self.recovery_for(&churned);
-        self.engine.reconfigure(
-            &Deployment::Mig(self.deployment.clone()),
-            &self.planned,
-            recovery.as_ref(),
-            sink,
-        );
+        self.actuate(&before, sink);
         Ok(id)
     }
 
@@ -519,8 +518,9 @@ impl Daemon {
 mod tests {
     use super::*;
     use crate::GaugeLog;
-    use parva_obs::NullSink;
-    use parva_perf::Model;
+    use parva_obs::{ArgValue, NullSink, Recorder};
+    use parva_perf::{Model, PerfParams};
+    use std::collections::BTreeMap;
 
     fn boot(policy: AutoscalePolicy) -> Daemon {
         let specs = vec![
@@ -583,6 +583,39 @@ mod tests {
         assert_eq!(bert.name, "bert-qa");
         assert!(bert.replicas > 0);
         assert!(bert.offered > 0, "admitted pod must receive traffic");
+    }
+
+    #[test]
+    fn admission_pays_the_fleet_recovery_model() {
+        // Every created BERT-Large segment copies its own weights, summed
+        // per GPU, and every re-flash takes the fleet's 800 ms.
+        let mut d = boot(AutoscalePolicy::default());
+        let mut rec = Recorder::new(0);
+        let pod = PodSpec::new("bert-qa", Model::BertLarge, 130.0, 80.0);
+        let id = d.submit(&pod, &mut rec).unwrap();
+
+        let bert_gib = PerfParams::for_model(Model::BertLarge).weights_gib;
+        assert!((bert_gib - 1.40).abs() < 1e-12);
+        let mut per_gpu: BTreeMap<usize, f64> = BTreeMap::new();
+        for ps in d.deployment.segments_of(id) {
+            *per_gpu.entry(ps.gpu).or_insert(0.0) += bert_gib;
+        }
+        let mut want: Vec<f64> = per_gpu.into_values().collect();
+        let spans = |name: &'static str| rec.events.iter().filter(move |e| e.name == name);
+        let mut copied: Vec<f64> = spans("copy")
+            .map(|e| match e.args.iter().find(|(k, _)| *k == "gib") {
+                Some((_, ArgValue::F64(gib))) => *gib,
+                other => panic!("copy span without a gib: {other:?}"),
+            })
+            .collect();
+        want.sort_by(f64::total_cmp);
+        copied.sort_by(f64::total_cmp);
+        assert!(!want.is_empty());
+        assert_eq!(copied, want);
+
+        let reflashes: Vec<u64> = spans("reflash").map(|e| e.dur_us).collect();
+        assert!(!reflashes.is_empty(), "admission must re-flash a GPU");
+        assert!(reflashes.iter().all(|&us| us == 800_000), "{reflashes:?}");
     }
 
     #[test]

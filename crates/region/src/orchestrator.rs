@@ -342,7 +342,7 @@ impl RecoveryRow {
         if self.ops.is_empty() {
             return None;
         }
-        Some(parva_fleet::migration::recovery_spec_from_ops(
+        Some(RecoverySpec::from_ops(
             self.ops.clone(),
             serving.warmup_s * 1_000.0,
         ))
@@ -1683,7 +1683,7 @@ mod tests {
         assert!(!movers.is_empty(), "no survivor absorbed prepared weights");
         for r in movers {
             assert!(
-                (r.recovery_latency_ms - parva_fleet::migration::CONTROL_PLANE_MS).abs() < 0.5,
+                (r.recovery_latency_ms - parva_serve::recovery::CONTROL_PLANE_MS).abs() < 0.5,
                 "{}: prepared recovery took {:.0} ms",
                 r.name,
                 r.recovery_latency_ms

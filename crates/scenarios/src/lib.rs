@@ -204,8 +204,8 @@ impl std::fmt::Display for Scenario {
 /// `hour_utc` is the global wall clock; `phase_hours` shifts a region's
 /// local day against it (a region at UTC+6 peaks six hours before the
 /// reference region). The multiplier swings sinusoidally between `low`
-/// (local 3 a.m. trough) and `high` (local 3 p.m. peak), matching the
-/// single-region `RateTrace::diurnal` shape of `parva-autoscale`.
+/// (local 3 a.m. trough) and `high` (local 3 p.m. peak). At phase 0 it is
+/// also the day the `parvad` daemon's diurnal drivers replay.
 ///
 /// # Panics
 /// Panics unless `0 < low <= high`.

@@ -39,7 +39,7 @@ pub mod router;
 pub mod sim;
 pub mod simulation;
 
-pub use recovery::{RecoveryOp, RecoverySimReport, RecoverySpec};
+pub use recovery::{lower_diff, RecoveryOp, RecoverySimReport, RecoverySpec};
 pub use report::{
     ClassReport, EpochObservation, ResilienceCounters, ServerActivity, ServiceReport,
     ServingReport, StreamReport, StreamServiceReport, TenantReport,

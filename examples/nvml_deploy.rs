@@ -4,6 +4,7 @@
 //!
 //! Run: `cargo run --example nvml_deploy`
 
+use parvagpu::autoscale::displacement_window;
 use parvagpu::core::reconfigure;
 use parvagpu::deploy::DeploymentDiff;
 use parvagpu::nvml::{apply_deployment, apply_diff, fleet_matches, SimNvml};
@@ -59,10 +60,10 @@ fn main() {
         diff.ops.len() - diff.mig_rebuilds(),
         diff.mig_touched_devices(),
     );
-    let shadow = outcome.shadow_plan(&deployment);
+    let shadow = displacement_window(&deployment, &outcome.reconfigured_gpus);
     println!(
-        "shadow plan: services {:?} bridged on {} spare GPU(s) during the switch",
-        shadow.services, shadow.spare_gpus
+        "shadow window: services {:?} bridged on {} spare GPU(s) during the switch",
+        shadow.affected_services, shadow.shadow_gpus
     );
 
     apply_diff(&mut nvml, &diff).expect("diff applies");

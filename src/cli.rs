@@ -1729,6 +1729,48 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_checksum_valid_state_that_breaks_an_invariant() {
+        use serde::{Serialize, Value};
+        let daemon = Daemon::new(
+            &default_daemon_catalogue(),
+            ArrivalProcess::Poisson,
+            7,
+            500_000,
+            AutoscalePolicy::default(),
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join("parva-cli-resume-invariants");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Edit one field of the state, checksum it afresh (the file
+        // verifies) and resume from it.
+        let resume = |field: &str, edit: &dyn Fn(&mut Value)| {
+            let mut state = daemon.to_value();
+            let Value::Map(fields) = &mut state else {
+                panic!("daemon state is a map")
+            };
+            let (_, value) = fields.iter_mut().find(|(k, _)| k == field).unwrap();
+            edit(value);
+            let path = dir.join(format!("{field}.json"));
+            std::fs::write(&path, crate::daemon::encode_checkpoint(&state).unwrap()).unwrap();
+            run_daemon_cmd(&DaemonCliOpts {
+                resume: Some(path.display().to_string()),
+                epochs: Some(2),
+                ..DaemonCliOpts::default()
+            })
+        };
+        let err = resume("epoch_us", &|v| *v = Value::UInt(0)).unwrap_err();
+        assert!(err.contains("epoch_us > 0"), "{err}");
+        let err = resume("names", &|v| {
+            if let Value::Seq(names) = v {
+                names.truncate(1);
+            }
+        })
+        .unwrap_err();
+        assert!(err.contains("must all have the same length"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn run_spec_with_writes_deterministic_artifacts() {
         let dir = std::env::temp_dir().join("parva-cli-obs-test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -27,8 +27,8 @@
 //!   deployment map or a [`deploy::DeploymentDiff`] against the devices,
 //!   SM-activity telemetry
 //! * [`cluster`] — p4de.24xlarge node packing and cost accounting
-//! * [`autoscale`] — epoch-driven control loop over the incremental
-//!   reconfiguration path, §III-F shadow-process windows
+//! * [`autoscale`] — the observed-demand estimator the daemon's control
+//!   loop plans with, and §III-F shadow-process windows
 //! * [`fleet`] — heterogeneous multi-node fleet orchestration: failures,
 //!   spot preemption, live migration, event-driven recovery
 //! * [`region`] — multi-region fleet federation: geo-aware routing with
@@ -77,9 +77,7 @@ pub use parvad as daemon;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::scenarios::{ScenarioReport, ScenarioSpec};
-    #[allow(deprecated)] // kept for downstream users until the oracle path is removed
-    pub use parva_autoscale::run_traced;
-    pub use parva_autoscale::{DemandEstimator, RateTrace};
+    pub use parva_autoscale::DemandEstimator;
     pub use parva_baselines::{Gpulet, Gslice, IGniter, MigServing, ParisElsa};
     pub use parva_core::{ParvaGpu, ParvaGpuSingle, ParvaGpuUnoptimized};
     pub use parva_deploy::{Deployment, ScheduleError, Scheduler, ServiceSpec, Slo};

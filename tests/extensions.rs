@@ -1,6 +1,7 @@
 //! Tests for the paper's proposed extensions (§III-F shadow processes,
 //! §V/§VI adaptations) implemented in this reproduction.
 
+use parvagpu::autoscale::displacement_window;
 use parvagpu::core::{reconfigure, ParvaGpu};
 use parvagpu::prelude::*;
 
@@ -41,32 +42,38 @@ fn shadow_plan_covers_torn_down_capacity() {
 
     let updated = ServiceSpec::new(4, Model::InceptionV3, 1_500.0, 419.0);
     let out = reconfigure::update_service(&sched, &deployment, &services, updated).unwrap();
-    let plan = out.shadow_plan(&deployment);
+    let window = displacement_window(&deployment, &out.reconfigured_gpus);
 
-    // Every reconfiguring GPU's resident services appear in the plan.
+    // Every reconfiguring GPU's resident services are bridged.
     for &gpu in &out.reconfigured_gpus {
         for ps in deployment.segments_on(gpu) {
             assert!(
-                plan.services.contains(&ps.segment.service_id),
-                "service {} missing from shadow plan",
+                window.affected_services.contains(&ps.segment.service_id),
+                "service {} missing from the shadow window",
                 ps.segment.service_id
             );
         }
     }
-    // Spare GPUs cover the torn-down GPCs.
-    assert!(plan.spare_gpus * 7 >= plan.shadow_gpcs);
-    // Consistency: the shadow GPC count equals exactly the GPCs of the
-    // before-map segments on reconfiguring GPUs (brand-new GPUs contribute
-    // nothing — bringing up a fresh GPU needs no shadow processes).
-    let expected: u32 = out
+    // The shadow fleet replicates exactly the GPCs torn down on the
+    // reconfiguring GPUs (brand-new GPUs contribute nothing — bringing up
+    // a fresh GPU needs no shadow processes), on enough spare GPUs.
+    let torn_down: u32 = out
         .reconfigured_gpus
         .iter()
         .flat_map(|&g| deployment.segments_on(g))
         .map(|ps| u32::from(ps.segment.gpcs()))
         .sum();
-    assert_eq!(plan.shadow_gpcs, expected);
+    let shadow_gpcs: u32 = window
+        .shadowed
+        .segments()
+        .iter()
+        .filter(|ps| ps.gpu >= deployment.gpu_count())
+        .map(|ps| u32::from(ps.segment.gpcs()))
+        .sum();
+    assert_eq!(shadow_gpcs, torn_down);
+    assert!(window.shadow_gpus as u32 * 7 >= torn_down);
     if out.reconfigured_gpus.is_empty() {
-        assert_eq!(plan.shadow_gpcs, 0);
+        assert_eq!(window.shadow_gpus, 0);
     }
 }
 
