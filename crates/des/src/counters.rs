@@ -1,15 +1,19 @@
 //! Global DES throughput counters.
 //!
-//! The serving simulator records, once per completed run, how many events
-//! its queue processed, the peak pending-event depth, and the time spent
-//! inside the event loop — both wall-clock nanoseconds and *per-thread CPU*
-//! nanoseconds. Readers take a [`snapshot`] before and after a region of
-//! work and keep the [`Snapshot::delta`] — the orchestrator self-profiles
-//! attribute DES work to their phases this way, and `perfbench` reports
-//! `des.events`, `des.sims`, `des.loop_cpu_ms` and `des.peak_queue_depth`
-//! from it. Nothing outside this module's tests resets them, and they
-//! never influence simulation behaviour, so instrumented and
-//! uninstrumented runs produce identical reports.
+//! The serving engine's event loop (`parva_serve::Engine::advance_to`)
+//! records once per call: how many events it popped, split by
+//! [`EventKind`] (and how many batching deadlines launched nothing), the
+//! peak pending-event depth, and the time spent inside the loop — both
+//! wall-clock nanoseconds and *per-thread CPU* nanoseconds. Batch runs and
+//! the daemon's epochs go through the same loop, so both are counted; a
+//! batch run that completes also records one sim. Readers take a
+//! [`snapshot`] before and after a region of work and keep the
+//! [`Snapshot::delta`] — the orchestrator self-profiles attribute DES work
+//! to their phases this way, and `perfbench` reports `des.events`,
+//! `des.sims`, `des.loop_cpu_ms` and `des.peak_queue_depth` from it.
+//! Nothing outside this module's tests resets them, and they never
+//! influence simulation behaviour, so instrumented and uninstrumented runs
+//! produce identical reports.
 //!
 //! All counters are process-global atomics: scoped-thread fan-outs (fleet
 //! probes, per-region serving) accumulate into the same totals. The wall
@@ -20,7 +24,50 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// The serving loop's event kinds, in the order of its event tags (the
+/// engine packs `kind as u64` into each queued payload).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// A request arrives and schedules its successor.
+    Arrival,
+    /// A batch completes.
+    Done,
+    /// A batching deadline: the head of a partial queue has waited its
+    /// budget.
+    Deadline,
+    /// Recovery work begins and darkens the servers it touches.
+    RecoveryBegin,
+    /// One recovery op finishes and its servers serve again.
+    Recovered,
+    /// A request attempt times out.
+    Timeout,
+    /// A retry's backoff expires.
+    Retry,
+    /// A hedge fires.
+    Hedge,
+}
+
+impl EventKind {
+    /// Every kind, in tag order (the index of its count in
+    /// [`Snapshot::by_kind`]).
+    pub const ALL: [EventKind; 8] = [
+        EventKind::Arrival,
+        EventKind::Done,
+        EventKind::Deadline,
+        EventKind::RecoveryBegin,
+        EventKind::Recovered,
+        EventKind::Timeout,
+        EventKind::Retry,
+        EventKind::Hedge,
+    ];
+
+    /// Number of kinds.
+    pub const COUNT: usize = Self::ALL.len();
+}
+
 static EVENTS: AtomicU64 = AtomicU64::new(0);
+static BY_KIND: [AtomicU64; EventKind::COUNT] = [const { AtomicU64::new(0) }; EventKind::COUNT];
+static IDLE_DEADLINES: AtomicU64 = AtomicU64::new(0);
 static SIMS: AtomicU64 = AtomicU64::new(0);
 static PEAK_QUEUE: AtomicU64 = AtomicU64::new(0);
 static LOOP_NANOS: AtomicU64 = AtomicU64::new(0);
@@ -77,31 +124,43 @@ mod cputime {
 
 /// CPU nanoseconds consumed by the calling thread so far (0 where the
 /// platform has no per-thread CPU clock). Take a reading before and after
-/// a loop and record the difference via [`record_sim`].
+/// a loop and record the difference via [`record`].
 #[must_use]
 pub fn thread_cpu_nanos() -> u64 {
     cputime::thread_cpu_nanos()
 }
 
-/// Record one finished simulation run. `loop_nanos` is the wall-clock span
-/// of the event loop; `cpu_nanos` is the calling thread's CPU time over
-/// the same span (0 where unsupported).
-pub fn record_sim(events: u64, peak_queue: usize, loop_nanos: u64, cpu_nanos: u64) {
-    EVENTS.fetch_add(events, Ordering::Relaxed);
-    SIMS.fetch_add(1, Ordering::Relaxed);
-    PEAK_QUEUE.fetch_max(peak_queue as u64, Ordering::Relaxed);
-    LOOP_NANOS.fetch_add(loop_nanos, Ordering::Relaxed);
-    LOOP_CPU_NANOS.fetch_add(cpu_nanos, Ordering::Relaxed);
+/// Add one span of activity to the global counters: every count and
+/// nanosecond column is summed, and `peak_queue_depth` raises the
+/// high-water mark. The event loop builds its span on its own stack and
+/// flushes it once per call; a completed run records `sims: 1` alone.
+pub fn record(activity: &Snapshot) {
+    EVENTS.fetch_add(activity.events, Ordering::Relaxed);
+    for (total, &n) in BY_KIND.iter().zip(&activity.by_kind) {
+        total.fetch_add(n, Ordering::Relaxed);
+    }
+    IDLE_DEADLINES.fetch_add(activity.idle_deadlines, Ordering::Relaxed);
+    SIMS.fetch_add(activity.sims, Ordering::Relaxed);
+    PEAK_QUEUE.fetch_max(activity.peak_queue_depth, Ordering::Relaxed);
+    LOOP_NANOS.fetch_add(activity.loop_nanos, Ordering::Relaxed);
+    LOOP_CPU_NANOS.fetch_add(activity.loop_cpu_nanos, Ordering::Relaxed);
 }
 
-/// A point-in-time copy of the counters.
+/// A point-in-time copy of the counters, or (from [`Snapshot::delta`] and
+/// for [`record`]) the activity of one span.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Total events processed across all recorded runs.
+    /// Total events processed across all recorded loops.
     pub events: u64,
-    /// Number of recorded simulation runs.
+    /// Events per [`EventKind`], indexed `kind as usize`; they sum to
+    /// `events`.
+    pub by_kind: [u64; EventKind::COUNT],
+    /// Deadline events that launched no batch (also counted under
+    /// [`EventKind::Deadline`]).
+    pub idle_deadlines: u64,
+    /// Number of completed simulation runs.
     pub sims: u64,
-    /// Largest pending-event queue depth seen in any run.
+    /// Largest pending-event queue depth seen in any loop.
     pub peak_queue_depth: u64,
     /// Wall-clock nanoseconds spent inside event loops (summed across
     /// threads, so it can exceed elapsed wall time under parallelism and
@@ -129,6 +188,8 @@ impl Snapshot {
     pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
         Snapshot {
             events: self.events.saturating_sub(earlier.events),
+            by_kind: std::array::from_fn(|k| self.by_kind[k].saturating_sub(earlier.by_kind[k])),
+            idle_deadlines: self.idle_deadlines.saturating_sub(earlier.idle_deadlines),
             sims: self.sims.saturating_sub(earlier.sims),
             peak_queue_depth: self.peak_queue_depth,
             loop_nanos: self.loop_nanos.saturating_sub(earlier.loop_nanos),
@@ -142,6 +203,8 @@ impl Snapshot {
 pub fn snapshot() -> Snapshot {
     Snapshot {
         events: EVENTS.load(Ordering::Relaxed),
+        by_kind: std::array::from_fn(|k| BY_KIND[k].load(Ordering::Relaxed)),
+        idle_deadlines: IDLE_DEADLINES.load(Ordering::Relaxed),
         sims: SIMS.load(Ordering::Relaxed),
         peak_queue_depth: PEAK_QUEUE.load(Ordering::Relaxed),
         loop_nanos: LOOP_NANOS.load(Ordering::Relaxed),
@@ -152,11 +215,16 @@ pub fn snapshot() -> Snapshot {
 /// Reset all counters to zero, so a test reads absolute values.
 #[cfg(test)]
 fn reset() {
-    EVENTS.store(0, Ordering::Relaxed);
-    SIMS.store(0, Ordering::Relaxed);
-    PEAK_QUEUE.store(0, Ordering::Relaxed);
-    LOOP_NANOS.store(0, Ordering::Relaxed);
-    LOOP_CPU_NANOS.store(0, Ordering::Relaxed);
+    for counter in BY_KIND.iter().chain([
+        &EVENTS,
+        &IDLE_DEADLINES,
+        &SIMS,
+        &PEAK_QUEUE,
+        &LOOP_NANOS,
+        &LOOP_CPU_NANOS,
+    ]) {
+        counter.store(0, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
@@ -167,14 +235,35 @@ mod tests {
     /// interleave with each other under the parallel test runner.
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+    /// One completed run of `events` events: a quarter (rounded down) are
+    /// idle deadlines, the rest arrivals.
+    fn run(events: u64, peak: u64, loop_nanos: u64, cpu_nanos: u64) -> Snapshot {
+        let mut activity = Snapshot {
+            events,
+            sims: 1,
+            peak_queue_depth: peak,
+            loop_nanos,
+            loop_cpu_nanos: cpu_nanos,
+            ..Snapshot::default()
+        };
+        activity.idle_deadlines = events / 4;
+        activity.by_kind[EventKind::Deadline as usize] = events / 4;
+        activity.by_kind[EventKind::Arrival as usize] = events - events / 4;
+        activity
+    }
+
     #[test]
     fn record_and_snapshot_roundtrip() {
         let _guard = LOCK.lock().unwrap();
         reset();
-        record_sim(100, 7, 1_000_000, 900_000);
-        record_sim(50, 12, 500_000, 400_000);
+        record(&run(100, 7, 1_000_000, 900_000));
+        record(&run(50, 12, 500_000, 400_000));
         let s = snapshot();
         assert_eq!(s.events, 150);
+        assert_eq!(s.by_kind[EventKind::Arrival as usize], 113);
+        assert_eq!(s.by_kind[EventKind::Deadline as usize], 37);
+        assert_eq!(s.by_kind.iter().sum::<u64>(), s.events);
+        assert_eq!(s.idle_deadlines, 37);
         assert_eq!(s.sims, 2);
         assert_eq!(s.peak_queue_depth, 12);
         assert_eq!(s.loop_nanos, 1_500_000);
@@ -187,12 +276,14 @@ mod tests {
     fn delta_attributes_only_the_enclosed_work() {
         let _guard = LOCK.lock().unwrap();
         reset();
-        record_sim(100, 7, 1_000, 900);
+        record(&run(100, 7, 1_000, 900));
         let before = snapshot();
-        record_sim(50, 12, 500, 400);
-        record_sim(25, 3, 250, 200);
+        record(&run(50, 12, 500, 400));
+        record(&run(25, 3, 250, 200));
         let d = snapshot().delta(&before);
         assert_eq!(d.events, 75);
+        assert_eq!(d.by_kind[EventKind::Deadline as usize], 18);
+        assert_eq!(d.idle_deadlines, 18);
         assert_eq!(d.sims, 2);
         assert_eq!(d.loop_nanos, 750);
         assert_eq!(d.loop_cpu_nanos, 600);
@@ -202,8 +293,16 @@ mod tests {
         // Reversed arguments saturate instead of wrapping.
         let r = before.delta(&snapshot());
         assert_eq!(r.events, 0);
+        assert_eq!(r.by_kind, [0; EventKind::COUNT]);
         assert_eq!(r.sims, 0);
         reset();
+    }
+
+    #[test]
+    fn kinds_are_listed_in_tag_order() {
+        for (i, kind) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i);
+        }
     }
 
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]

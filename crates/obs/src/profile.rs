@@ -244,7 +244,11 @@ mod tests {
     fn spans_capture_des_counter_deltas() {
         let mut p = SelfProfiler::enabled();
         let t = p.begin("sim", "serve");
-        parva_des::counters::record_sim(1234, 5, 1_000, 900);
+        parva_des::counters::record(&parva_des::counters::Snapshot {
+            events: 1234,
+            sims: 1,
+            ..Default::default()
+        });
         p.end(t);
         let s = &p.stats()[0];
         // The global counters are process-wide: other tests may record

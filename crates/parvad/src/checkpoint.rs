@@ -14,7 +14,9 @@
 //! corrupted simulation. The schema tag changes whenever the state's shape
 //! or meaning does, so a checkpoint of another shape is refused by name
 //! ("unsupported checkpoint schema") rather than by whichever field first
-//! fails to decode. A checksum only proves the state is the one that was
+//! fails to decode. A field added with a default that older checkpoints
+//! resume under exactly keeps the tag: v3 checkpoints written before
+//! servers recorded their armed batching deadline still load. A checksum only proves the state is the one that was
 //! written, not that it is sane: [`crate::run_daemon`] also refuses a
 //! state with a zero epoch length or per-service lists of unequal length.
 //!

@@ -38,6 +38,7 @@ use parva_obs::{Row, TraceSink};
 use parva_profile::ProfileBook;
 use parva_serve::{lower_diff, ArrivalProcess, Engine, RecoverySpec, ResilienceSpec, Simulation};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// GPUs per node: logical GPU `g` re-flashes and copies on node
 /// `g / GPUS_PER_NODE`.
@@ -231,10 +232,11 @@ impl Daemon {
         }
     }
 
-    fn scheduler() -> ParvaGpu {
-        // Pure function of the builtin profile book — reconstructed at each
-        // decision rather than serialized into checkpoints.
-        ParvaGpu::new(&ProfileBook::builtin())
+    fn scheduler() -> &'static ParvaGpu {
+        // A pure function of the builtin profile book: built once per
+        // process, never serialized into checkpoints.
+        static SCHEDULER: OnceLock<ParvaGpu> = OnceLock::new();
+        SCHEDULER.get_or_init(|| ParvaGpu::new(&ProfileBook::builtin()))
     }
 
     /// Completed epochs.
@@ -347,7 +349,7 @@ impl Daemon {
             if rel <= self.policy.hysteresis {
                 continue;
             }
-            match reconfigure::update_service(&scheduler, &self.deployment, &self.services, *d) {
+            match reconfigure::update_service(scheduler, &self.deployment, &self.services, *d) {
                 Ok(out) => {
                     let old = std::mem::replace(&mut self.deployment, out.deployment);
                     before.get_or_insert(old);
@@ -417,7 +419,7 @@ impl Daemon {
         let id = self.next_id;
         let spec = pod.to_service_spec(id)?;
         let out =
-            reconfigure::update_service(&Self::scheduler(), &self.deployment, &self.services, spec)
+            reconfigure::update_service(Self::scheduler(), &self.deployment, &self.services, spec)
                 .map_err(|e| format!("admission failed: {e}"))?;
         let before = std::mem::replace(&mut self.deployment, out.deployment);
         self.services.push(out.service);
@@ -654,6 +656,71 @@ mod tests {
             resumed.step(&mut resumed_log);
         }
         assert_eq!(control_log.to_jsonl(), resumed_log.to_jsonl());
+        assert_eq!(
+            serde_json::to_string(&control.status()).unwrap(),
+            serde_json::to_string(&resumed.status()).unwrap()
+        );
+    }
+
+    /// Drop every `key` entry from the maps in `v`; returns how many of
+    /// the dropped values were not zero.
+    fn strip_key(v: &mut serde::Value, key: &str) -> usize {
+        match v {
+            serde::Value::Map(entries) => {
+                let nonzero = entries
+                    .iter()
+                    .filter(|(k, v)| {
+                        k == key && !matches!(v, serde::Value::Int(0) | serde::Value::UInt(0))
+                    })
+                    .count();
+                entries.retain(|(k, _)| k != key);
+                nonzero
+                    + entries
+                        .iter_mut()
+                        .map(|(_, v)| strip_key(v, key))
+                        .sum::<usize>()
+            }
+            serde::Value::Seq(items) => items.iter_mut().map(|v| strip_key(v, key)).sum(),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn checkpoint_from_before_armed_deadlines_resumes_bit_identically() {
+        // v3 checkpoints written before servers remembered their armed
+        // batching deadline have no `armed` keys. The field then reads as
+        // nothing armed, so each server arms its head's deadline again,
+        // next to the one the old checkpoint already queued.
+        let policy = AutoscalePolicy {
+            decide_every: 3,
+            ..AutoscalePolicy::default()
+        };
+        let mut control = boot(policy);
+        let mut interrupted = boot(policy);
+        let mut control_log = GaugeLog::new();
+        let mut resumed_log = GaugeLog::new();
+        for _ in 0..4 {
+            control.step(&mut control_log);
+            interrupted.step(&mut resumed_log);
+        }
+        let mut state = serde::Serialize::to_value(&interrupted);
+        drop(interrupted);
+        assert!(
+            strip_key(&mut state, "armed") > 0,
+            "no server had a deadline armed: the old form would equal the new"
+        );
+        let old_form = crate::checkpoint::encode_checkpoint(&state).unwrap();
+        assert!(!old_form.contains("\"armed\""));
+        let mut resumed: Daemon = crate::checkpoint::decode_checkpoint(&old_form).unwrap();
+        for _ in 0..5 {
+            control.step(&mut control_log);
+            resumed.step(&mut resumed_log);
+        }
+        assert_eq!(control_log.to_jsonl(), resumed_log.to_jsonl());
+        assert_eq!(
+            serde_json::to_string(&control.report()).unwrap(),
+            serde_json::to_string(&resumed.report()).unwrap()
+        );
         assert_eq!(
             serde_json::to_string(&control.status()).unwrap(),
             serde_json::to_string(&resumed.status()).unwrap()

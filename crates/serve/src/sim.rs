@@ -15,6 +15,7 @@ use crate::resilience::ResilienceSpec;
 use crate::router::Router;
 use crate::Simulation;
 use parva_deploy::{Deployment, ServiceSpec, Tenant};
+use parva_des::counters::{self, EventKind};
 use parva_des::{CalendarQueue, LatencyHistogram, RngStream, SerialResource, SimTime};
 use parva_obs::{Row, TraceEvent, TraceSink, PID_SERVE};
 use parva_perf::interference::total_interference;
@@ -338,6 +339,14 @@ struct Server {
     dark_since: SimTime,
     /// Waiting requests: `(arrival time, ingress class or request id)`.
     queue: VecDeque<(SimTime, u32)>,
+    /// The batching deadline last armed: while it lies ahead, its event is
+    /// pending, so [`Engine::try_start`] arms a deadline only for a head
+    /// whose deadline differs — one event per head, not one per arrival
+    /// to a partial queue. A head lost to a timeout or a hedge twin keeps
+    /// the old deadline, which re-evaluates the queue when it fires. Zero
+    /// (nothing armed) on a new server and in checkpoints that predate it.
+    #[serde(default)]
+    armed: SimTime,
     busy: u32,
     /// SM-occupancy microseconds accumulated inside the window.
     busy_comp_us: u64,
@@ -367,6 +376,7 @@ impl Server {
             dark: false,
             dark_since: SimTime::ZERO,
             queue: VecDeque::new(),
+            armed: SimTime::ZERO,
             busy: 0,
             busy_comp_us: 0,
         };
@@ -440,23 +450,25 @@ const A_SHIFT: u32 = 20;
 const A_MASK: u64 = (1 << 24) - 1;
 const B_MASK: u64 = (1 << 20) - 1;
 
-const TAG_ARRIVAL: u64 = 0;
-const TAG_DONE: u64 = 1;
+// Tags are `EventKind` discriminants, so the loop counts each event under
+// its tag.
+const TAG_ARRIVAL: u64 = EventKind::Arrival as u64;
+const TAG_DONE: u64 = EventKind::Done as u64;
 // Deadline and recovery events carry the fabric generation they were armed
 // under (`a` for deadlines, `b` for recovery, masked): a reconfiguration
 // replaces the servers and recovery work they address, so events of an
 // older generation fall through.
-const TAG_DEADLINE: u64 = 2;
-const TAG_RECOVERY_BEGIN: u64 = 3;
-const TAG_GPU_RECOVERED: u64 = 4;
+const TAG_DEADLINE: u64 = EventKind::Deadline as u64;
+const TAG_RECOVERY_BEGIN: u64 = EventKind::RecoveryBegin as u64;
+const TAG_GPU_RECOVERED: u64 = EventKind::Recovered as u64;
 // Resilience lifecycle events (only scheduled when a non-inert
 // `ResilienceSpec` is configured). Each carries `a` = request id into the
 // resilience request table and `b` = the request's epoch (mod 2^20): any
 // state change — launch, timeout, retry, completion — bumps the epoch, so
 // stale events fall through without a lookup table of cancellations.
-const TAG_TIMEOUT: u64 = 5;
-const TAG_RETRY: u64 = 6;
-const TAG_HEDGE: u64 = 7;
+const TAG_TIMEOUT: u64 = EventKind::Timeout as u64;
+const TAG_RETRY: u64 = EventKind::Retry as u64;
+const TAG_HEDGE: u64 = EventKind::Hedge as u64;
 
 #[inline]
 fn ev(tag: u64, a: u64, b: u64) -> u64 {
@@ -741,7 +753,7 @@ pub struct Engine {
     class_within: Vec<u64>,
     /// `None` for the classes of single-class services.
     class_latency: Vec<Option<LatencyHistogram>>,
-    pub(crate) q: CalendarQueue,
+    q: CalendarQueue,
     /// The recycled batch slab and the ids open for reuse — steady-state
     /// launches allocate nothing.
     slab: Vec<Batch>,
@@ -975,7 +987,15 @@ impl Engine {
     /// Handle every event due at or before `until`, then move the clock to
     /// `until`. Gauge boundaries the clock crosses are sampled (capped at
     /// the window's end), each from the state after every event up to it.
+    ///
+    /// Each call records its events (per kind, plus the deadlines that
+    /// launched nothing), the queue's peak depth and its wall and CPU time
+    /// into [`parva_des::counters`], tallied on the stack and flushed once.
     pub fn advance_to<S: TraceSink>(&mut self, until: SimTime, sink: &mut S) {
+        let started = std::time::Instant::now();
+        let cpu_started = counters::thread_cpu_nanos();
+        let processed = self.q.processed();
+        let mut tally = counters::Snapshot::default();
         while let Some((t, payload)) = self.q.pop_until(until) {
             if S::ENABLED {
                 // State as of strictly before `t`.
@@ -987,14 +1007,18 @@ impl Engine {
             }
             let a = ((payload >> A_SHIFT) & A_MASK) as usize;
             let b = (payload & B_MASK) as usize;
-            match payload >> TAG_SHIFT {
+            let tag = payload >> TAG_SHIFT;
+            tally.by_kind[tag as usize] += 1;
+            match tag {
                 TAG_ARRIVAL => self.on_arrival(t, a, b, payload, sink),
                 TAG_DONE => self.on_done(t, a, b, sink),
                 TAG_DEADLINE => {
-                    // Stale deadlines (batch already launched) fall through
-                    // harmlessly: try_start re-evaluates the queue state.
-                    if a as u64 == u64::from(self.generation) & A_MASK {
-                        self.try_start(b, sink);
+                    // Stale deadlines (an older generation's, or one whose
+                    // batch already launched) fall through harmlessly:
+                    // try_start re-evaluates the queue state.
+                    let current = a as u64 == u64::from(self.generation) & A_MASK;
+                    if !(current && self.try_start(b, sink)) {
+                        tally.idle_deadlines += 1;
                     }
                 }
                 TAG_RECOVERY_BEGIN | TAG_GPU_RECOVERED
@@ -1014,6 +1038,11 @@ impl Engine {
                 self.sample_gauges(sink, sink.next_sample_us());
             }
         }
+        tally.events = self.q.processed() - processed;
+        tally.peak_queue_depth = self.q.peak_pending() as u64;
+        tally.loop_nanos = started.elapsed().as_nanos() as u64;
+        tally.loop_cpu_nanos = counters::thread_cpu_nanos().saturating_sub(cpu_started);
+        counters::record(&tally);
     }
 
     #[inline]
@@ -1236,23 +1265,26 @@ impl Engine {
 
     /// Adaptive batching: launch full batches eagerly; for a partial queue,
     /// launch once the head request's deadline expires, else arm a
-    /// deadline. Dark servers (recovery outstanding on their GPU) launch
-    /// nothing — their queues drain when the GPU's recovery op completes.
+    /// deadline unless that one is already armed. Dark servers (recovery
+    /// outstanding on their GPU) launch nothing — their queues drain when
+    /// the GPU's recovery op completes. Returns whether a batch launched.
     #[inline]
-    fn try_start<S: TraceSink>(&mut self, server: usize, sink: &mut S) {
+    fn try_start<S: TraceSink>(&mut self, server: usize, sink: &mut S) -> bool {
+        let mut launched = false;
         loop {
             let s = &self.servers[server];
             if s.dark || s.busy >= s.procs {
-                return;
+                return launched;
             }
             let queued = s.queue.len();
             let full = s.batch;
             if queued >= full as usize {
                 self.launch(server, full, sink);
+                launched = true;
                 continue;
             }
             if queued == 0 {
-                return;
+                return launched;
             }
             let (head, x) = *s.queue.front().expect("non-empty");
             // Queue entries carry the ingress class directly, or (with
@@ -1270,12 +1302,18 @@ impl Engine {
             if self.q.now() >= deadline {
                 let size = (queued as u32).min(full);
                 self.launch(server, size, sink);
-            } else {
+                return true;
+            }
+            // A deadline still ahead that equals the armed one is that
+            // event, pending: arming it again would only queue a twin that
+            // pops right behind it.
+            if deadline != s.armed {
                 let generation = u64::from(self.generation) & A_MASK;
                 self.q
                     .schedule(deadline, ev(TAG_DEADLINE, generation, server as u64));
+                self.servers[server].armed = deadline;
             }
-            return;
+            return launched;
         }
     }
 

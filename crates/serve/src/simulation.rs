@@ -199,15 +199,11 @@ impl<'a> Simulation<'a> {
                     .arg_u64("end_us", end.micros()),
             );
         }
-        let loop_started = std::time::Instant::now();
-        let cpu_started = parva_des::counters::thread_cpu_nanos();
         engine.advance_to(end, sink);
-        parva_des::counters::record_sim(
-            engine.q.processed(),
-            engine.q.peak_pending(),
-            loop_started.elapsed().as_nanos() as u64,
-            parva_des::counters::thread_cpu_nanos().saturating_sub(cpu_started),
-        );
+        parva_des::counters::record(&parva_des::counters::Snapshot {
+            sims: 1,
+            ..Default::default()
+        });
         engine.report(sink)
     }
 

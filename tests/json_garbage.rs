@@ -2,10 +2,14 @@
 //! on-disk scenario specs and `--resume` checkpoints. Garbage drawn from
 //! JSON's own token alphabet must come back as an `Err`, never a panic or
 //! a stack overflow, and whatever the parser accepts must survive a
-//! write/re-parse round trip.
+//! write/re-parse round trip. Reads are linear: multi-MiB strings parse in
+//! milliseconds.
 
 use proptest::prelude::*;
 use serde::Value;
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 /// Scalars, valid on their own.
 const SCALARS: [&str; 16] = [
@@ -69,8 +73,17 @@ fn tokens() -> Vec<String> {
     // Deep enough to overflow the stack of an unbounded recursive parser.
     tokens.push("[".repeat(1 << 16));
     tokens.push("{\"k\":".repeat(1 << 14));
+    // Long strings mixing plain runs, escapes and multi-byte characters:
+    // one whole, and its body alone for the soup to quote or break.
+    let body = MIXED_RUN.repeat(512);
+    tokens.push(format!("\"{body}\""));
+    tokens.push(body);
     tokens
 }
+
+/// A valid string body alternating plain runs, escapes (`\u` included)
+/// and multi-byte characters (`é`, `日`, `😀`).
+const MIXED_RUN: &str = "ab\\n\\\"é\\\\日\\u0041\\t😀/\\/";
 
 /// A valid document: an array whose contents `ops` build by opening an
 /// array or object, closing the innermost one, or writing a scalar.
@@ -170,4 +183,44 @@ proptest! {
             .map_err(|e| TestCaseError(format!("{doc:?} wrote {written:?}: {e}")))?;
         prop_assert!(same(&back, &value), "{doc:?} -> {value:?} -> {back:?}");
     }
+}
+
+/// Four MiB of document, parsed under a bound no parser that re-reads the
+/// rest of the input per string character can meet (that one needs hours
+/// for either document below).
+const BIG: usize = 4 << 20;
+const LINEAR_BOUND: Duration = Duration::from_secs(2);
+
+/// Parse `doc` on a worker thread, waiting at most [`LINEAR_BOUND`]: a
+/// parser that goes quadratic fails the test instead of stalling the suite.
+fn parse_within_bound<T: serde::Deserialize + Send + 'static>(doc: String) -> T {
+    let len = doc.len();
+    let (tx, rx) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        let _ = tx.send(serde_json::from_str::<T>(&doc));
+    });
+    match rx.recv_timeout(LINEAR_BOUND) {
+        Ok(parsed) => {
+            worker.join().expect("the parser thread finished");
+            parsed.expect("valid JSON")
+        }
+        Err(_) => panic!("a {len} B document did not parse within {LINEAR_BOUND:?}"),
+    }
+}
+
+#[test]
+fn one_multi_mib_string_parses_in_linear_time() {
+    // 10 bytes a repeat: one to four bytes per character.
+    let text = "xé日😀".repeat(BIG / 10);
+    let back: String = parse_within_bound(format!("\"{text}\""));
+    assert_eq!(back, text);
+}
+
+#[test]
+fn multi_mib_of_short_escaped_strings_parse_in_linear_time() {
+    let item = "\"a\\\"é\\n\\u0041\"";
+    let n = BIG / (item.len() + 1);
+    let back: Vec<String> = parse_within_bound(format!("[{}]", vec![item; n].join(",")));
+    assert_eq!(back.len(), n);
+    assert!(back.iter().all(|s| s == "a\"é\nA"), "{:?}", back.first());
 }
