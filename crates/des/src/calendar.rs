@@ -344,8 +344,8 @@ impl Serialize for CalendarQueue {
 }
 
 impl Deserialize for CalendarQueue {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let snap = Snapshot::from_value(v)?;
+    fn read<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
+        let snap = Snapshot::read(src)?;
         let mut q = Self::new();
         q.now = snap.now;
         q.seq = snap.seq;

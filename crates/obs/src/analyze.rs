@@ -4,8 +4,13 @@
 //! This is the read side of the observability loop. The write side
 //! ([`crate::Recorder`], [`crate::StreamSink`]) renders spans and gauge
 //! rows with byte-stable, shortest-round-trip formatting; this module
-//! parses those bytes back into typed events ([`ParsedEvent`],
-//! [`GaugeRow`]) and independently re-derives per-service /
+//! reads those bytes back straight into typed events ([`ParsedEvent`],
+//! [`GaugeRow`]) through the one reader per row, which pulls from the JSON
+//! text itself ([`serde_json::Reader`]); only `args` payloads and gauge
+//! fields become [`Value`]s. A row that does not read from its text is
+//! read again from its parsed tree (a [`serde::Cursor`]) by the same
+//! reader, so its error is the syntax error, if any, before the shape
+//! error. It then independently re-derives per-service /
 //! per-class SLO attainment and latency distributions from the request
 //! spans alone ([`recompute_serving`]). Because every float was written
 //! shortest-round-trip and parsed back correctly-rounded, the recomputed
@@ -19,7 +24,7 @@
 //! span-count / duration / attainment-wise).
 
 use parva_des::LatencyHistogram;
-use serde::Value;
+use serde::{Kind, Number, Source, Value};
 
 /// One trace event parsed back from an exported trace (Chrome document
 /// or JSONL). Metadata rows (`ph: "M"`) are dropped at parse time.
@@ -109,46 +114,171 @@ pub fn value_f64(v: &Value) -> Option<f64> {
     }
 }
 
-fn parse_one_event(v: &Value) -> Result<Option<ParsedEvent>, String> {
-    let map = v
-        .as_map()
-        .ok_or_else(|| format!("trace event is not an object: {v:?}"))?;
-    let field = |key: &str| serde::find_field(map, key);
-    let ph = match field("ph") {
-        Some(Value::Str(s)) => s.chars().next().unwrap_or('?'),
-        _ => return Err("trace event without a \"ph\" phase".into()),
-    };
-    if ph == 'M' {
-        return Ok(None); // metadata (process_name / thread_name)
+/// A reader of one exported JSON document into `Self`, generic over the
+/// [`Source`] it pulls from. `args` is a scratch list the reader may use
+/// to size each event's `args` exactly.
+trait Exported: Sized {
+    fn read<S: Source>(src: &mut S, args: &mut Vec<(String, Value)>) -> Result<Self, String>;
+}
+
+/// Read `text` as a `T` straight from the text; if that fails, parse it
+/// whole and read the tree, so a syntax error anywhere in it (put in
+/// context by `syntax`) is reported before any shape error.
+fn read_exported<T: Exported>(
+    text: &str,
+    args: &mut Vec<(String, Value)>,
+    syntax: impl FnOnce(serde_json::Error) -> String,
+) -> Result<T, String> {
+    let mut reader = serde_json::Reader::new(text);
+    if let Ok(read) = T::read(&mut reader, args) {
+        if reader.end().is_ok() {
+            return Ok(read);
+        }
     }
-    let name = match field("name") {
-        Some(Value::Str(s)) => s.clone(),
-        _ => return Err("trace event without a \"name\"".into()),
-    };
-    let cat = match field("cat") {
-        Some(Value::Str(s)) => s.clone(),
-        _ => String::new(),
-    };
-    let ts_us = field("ts")
-        .and_then(value_u64)
-        .ok_or_else(|| format!("event \"{name}\" without an integer \"ts\""))?;
-    let dur_us = field("dur").and_then(value_u64).unwrap_or(0);
-    let pid = field("pid").and_then(value_u64).unwrap_or(0) as u32;
-    let tid = field("tid").and_then(value_u64).unwrap_or(0) as u32;
-    let args = match field("args") {
-        Some(Value::Map(m)) => m.clone(),
-        _ => Vec::new(),
-    };
-    Ok(Some(ParsedEvent {
-        name,
-        cat,
-        ph,
-        ts_us,
-        dur_us,
-        pid,
-        tid,
-        args,
-    }))
+    let tree: Value = serde_json::from_str(text).map_err(syntax)?;
+    T::read(&mut serde::Cursor::new(&tree), args)
+}
+
+fn source_err(e: serde::Error) -> String {
+    e.0
+}
+
+/// `f` of a string value, or `None` (the value skipped) for any other
+/// kind.
+fn read_str_as<S: Source, T>(
+    src: &mut S,
+    f: impl FnOnce(&str) -> T,
+) -> Result<Option<T>, serde::Error> {
+    if src.peek()? == Kind::Str {
+        return src.read_str().map(|s| Some(f(s)));
+    }
+    src.skip_value().map(|()| None)
+}
+
+/// A value as `u64` if it is a non-negative integer (see [`value_u64`]),
+/// `None` (the value skipped) otherwise.
+fn read_u64<S: Source>(src: &mut S) -> Result<Option<u64>, serde::Error> {
+    if src.peek()? != Kind::Number {
+        return src.skip_value().map(|()| None);
+    }
+    Ok(match src.read_number()? {
+        Number::Int(i) => u64::try_from(i).ok(),
+        Number::UInt(u) => Some(u),
+        Number::Float(_) => None,
+    })
+}
+
+/// One trace event, each field from its key's first occurrence; a
+/// metadata row (`ph: "M"`) reads as `None`.
+impl Exported for Option<ParsedEvent> {
+    fn read<S: Source>(src: &mut S, args: &mut Vec<(String, Value)>) -> Result<Self, String> {
+        if src.peek().map_err(source_err)? != Kind::Map {
+            let v = src.read_value().map_err(source_err)?;
+            return Err(format!("trace event is not an object: {v:?}"));
+        }
+        // Outer `Some` once the key was seen; inner `None` when its value
+        // was of another kind.
+        let mut ph: Option<Option<char>> = None;
+        let mut name: Option<Option<String>> = None;
+        let mut cat: Option<Option<String>> = None;
+        let mut ints: [Option<Option<u64>>; 4] = [None; 4]; // ts, dur, pid, tid
+        let mut event_args: Option<Vec<(String, Value)>> = None;
+        let mut read_fields = || -> Result<(), serde::Error> {
+            src.begin_map()?;
+            while let Some(key) = src.next_key()? {
+                let slot = match key {
+                    "ph" => 0,
+                    "name" => 1,
+                    "cat" => 2,
+                    "ts" => 3,
+                    "dur" => 4,
+                    "pid" => 5,
+                    "tid" => 6,
+                    "args" => 7,
+                    _ => usize::MAX,
+                };
+                match slot {
+                    0 if ph.is_none() => {
+                        ph = Some(read_str_as(src, |s| s.chars().next().unwrap_or('?'))?);
+                    }
+                    1 if name.is_none() => name = Some(read_str_as(src, str::to_owned)?),
+                    2 if cat.is_none() => cat = Some(read_str_as(src, str::to_owned)?),
+                    3..=6 if ints[slot - 3].is_none() => ints[slot - 3] = Some(read_u64(src)?),
+                    7 if event_args.is_none() => {
+                        if src.peek()? != Kind::Map {
+                            src.skip_value()?;
+                            event_args = Some(Vec::new());
+                            continue;
+                        }
+                        args.clear();
+                        src.begin_map()?;
+                        while let Some(key) = src.next_key()? {
+                            let key = key.to_owned();
+                            args.push((key, src.read_value()?));
+                        }
+                        // The event keeps exactly its own entries; the
+                        // scratch list keeps its capacity for the next.
+                        let mut own = Vec::with_capacity(args.len());
+                        own.append(args);
+                        event_args = Some(own);
+                    }
+                    _ => src.skip_value()?,
+                }
+            }
+            Ok(())
+        };
+        read_fields().map_err(source_err)?;
+        let Some(Some(ph)) = ph else {
+            return Err("trace event without a \"ph\" phase".into());
+        };
+        if ph == 'M' {
+            return Ok(None); // metadata (process_name / thread_name)
+        }
+        let Some(Some(name)) = name else {
+            return Err("trace event without a \"name\"".into());
+        };
+        let [ts, dur, pid, tid] = ints.map(Option::flatten);
+        let ts_us = ts.ok_or_else(|| format!("event \"{name}\" without an integer \"ts\""))?;
+        Ok(Some(ParsedEvent {
+            name,
+            cat: cat.flatten().unwrap_or_default(),
+            ph,
+            ts_us,
+            dur_us: dur.unwrap_or(0),
+            pid: pid.unwrap_or(0) as u32,
+            tid: tid.unwrap_or(0) as u32,
+            args: event_args.unwrap_or_default(),
+        }))
+    }
+}
+
+/// The Chrome trace document: the events of its first `traceEvents`
+/// array, metadata rows dropped.
+impl Exported for Vec<ParsedEvent> {
+    fn read<S: Source>(src: &mut S, args: &mut Vec<(String, Value)>) -> Result<Self, String> {
+        const NO_EVENTS: &str = "trace document without a \"traceEvents\" array";
+        if src.peek().map_err(source_err)? != Kind::Map {
+            return Err("trace document is not an object".into());
+        }
+        let mut events = None;
+        src.begin_map().map_err(source_err)?;
+        while let Some(key) = src.next_key().map_err(source_err)? {
+            if key != "traceEvents" || events.is_some() {
+                src.skip_value().map_err(source_err)?;
+                continue;
+            }
+            if src.peek().map_err(source_err)? != Kind::Seq {
+                return Err(NO_EVENTS.into());
+            }
+            let mut list = Vec::new();
+            src.begin_seq().map_err(source_err)?;
+            while src.next_item().map_err(source_err)? {
+                list.extend(Option::<ParsedEvent>::read(src, args)?);
+            }
+            events = Some(list);
+        }
+        events.ok_or_else(|| NO_EVENTS.into())
+    }
 }
 
 /// Parse an exported trace — either the Chrome document
@@ -159,29 +289,18 @@ fn parse_one_event(v: &Value) -> Result<Option<ParsedEvent>, String> {
 /// Malformed JSON or events missing required fields.
 pub fn parse_trace(text: &str) -> Result<Vec<ParsedEvent>, String> {
     let trimmed = text.trim_start();
-    let mut out = Vec::new();
+    let mut args = Vec::new();
     if trimmed.starts_with("{\"displayTimeUnit\"") || trimmed.starts_with("{\"traceEvents\"") {
-        let doc: Value = serde_json::from_str(trimmed).map_err(|e| format!("trace JSON: {e}"))?;
-        let map = doc.as_map().ok_or("trace document is not an object")?;
-        let events = serde::find_field(map, "traceEvents")
-            .and_then(Value::as_seq)
-            .ok_or("trace document without a \"traceEvents\" array")?;
-        for ev in events {
-            if let Some(parsed) = parse_one_event(ev)? {
-                out.push(parsed);
-            }
+        return read_exported(trimmed, &mut args, |e| format!("trace JSON: {e}"));
+    }
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
         }
-    } else {
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v: Value =
-                serde_json::from_str(line).map_err(|e| format!("trace line {}: {e}", i + 1))?;
-            if let Some(parsed) = parse_one_event(&v)? {
-                out.push(parsed);
-            }
-        }
+        let event: Option<ParsedEvent> =
+            read_exported(line, &mut args, |e| format!("trace line {}: {e}", i + 1))?;
+        out.extend(event);
     }
     Ok(out)
 }
@@ -250,12 +369,10 @@ pub fn parse_metrics(text: &str) -> Result<Vec<GaugeRow>, String> {
         }
         let v: Value =
             serde_json::from_str(line).map_err(|e| format!("metrics line {}: {e}", i + 1))?;
-        let map = v
-            .as_map()
-            .ok_or_else(|| format!("metrics line {} is not an object", i + 1))?;
-        out.push(GaugeRow {
-            fields: map.to_vec(),
-        });
+        let Value::Map(fields) = v else {
+            return Err(format!("metrics line {} is not an object", i + 1));
+        };
+        out.push(GaugeRow { fields });
     }
     Ok(out)
 }

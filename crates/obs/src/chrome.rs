@@ -2,11 +2,13 @@
 //! JSON.
 //!
 //! Both renderings are hand-built strings with fixed field order, so a
-//! given event list always produces byte-identical output. Timestamps
-//! and durations are integer simulation microseconds — exactly the unit
-//! the Chrome trace format expects for `ts`/`dur`.
+//! given event list always produces byte-identical output, appended to
+//! one buffer with no temporary per field. Timestamps and durations are
+//! integer simulation microseconds — exactly the unit the Chrome trace
+//! format expects for `ts`/`dur`.
 
 use crate::trace::TraceEvent;
+use std::fmt::Write as _;
 
 fn write_args(out: &mut String, ev: &TraceEvent) {
     out.push_str("\"args\":{");
@@ -15,9 +17,9 @@ fn write_args(out: &mut String, ev: &TraceEvent) {
             out.push(',');
         }
         out.push('"');
-        out.push_str(&crate::json_escape(k));
+        crate::escape_into(out, k);
         out.push_str("\":");
-        out.push_str(&v.to_json());
+        v.write_json(out);
     }
     out.push('}');
 }
@@ -34,26 +36,20 @@ pub fn event_json(ev: &TraceEvent) -> String {
 
 fn write_event(out: &mut String, ev: &TraceEvent) {
     out.push_str("{\"name\":\"");
-    out.push_str(&crate::json_escape(ev.name));
+    crate::escape_into(out, ev.name);
     out.push_str("\",\"cat\":\"");
-    out.push_str(&crate::json_escape(ev.cat));
+    crate::escape_into(out, ev.cat);
     out.push_str("\",\"ph\":\"");
     out.push(ev.ph.code());
-    out.push_str("\",\"ts\":");
-    out.push_str(&ev.ts_us.to_string());
+    let _ = write!(out, "\",\"ts\":{}", ev.ts_us);
     if ev.ph == crate::Phase::Complete {
-        out.push_str(",\"dur\":");
-        out.push_str(&ev.dur_us.to_string());
+        let _ = write!(out, ",\"dur\":{}", ev.dur_us);
     } else {
         // Instant events need a scope; "t" (thread) keeps them on their
         // track instead of full-height global markers.
         out.push_str(",\"s\":\"t\"");
     }
-    out.push_str(",\"pid\":");
-    out.push_str(&ev.pid.to_string());
-    out.push_str(",\"tid\":");
-    out.push_str(&ev.tid.to_string());
-    out.push(',');
+    let _ = write!(out, ",\"pid\":{},\"tid\":{},", ev.pid, ev.tid);
     write_args(out, ev);
     out.push('}');
 }
@@ -66,7 +62,6 @@ fn write_event(out: &mut String, ev: &TraceEvent) {
 /// Loadable directly in Perfetto / `chrome://tracing`.
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    use std::fmt::Write as _;
     let mut pids: Vec<u32> = Vec::new();
     let mut tracks: Vec<(u32, u32)> = Vec::new();
     for ev in events {

@@ -51,6 +51,9 @@ pub use recorder::Recorder;
 pub use stream::{read_concat_shards, StreamConfig, StreamSink, StreamStats, TailFollower};
 pub use trace::{ArgValue, Phase, TraceEvent, TraceSink};
 
+/// Append a string to a JSON buffer, escaped as [`json_escape`] does.
+pub use serde_json::escape_into;
+
 /// Track-group ("pid") of serving-layer events in exported traces.
 pub const PID_SERVE: u32 = 1;
 /// Track-group ("pid") of fleet-orchestrator events in exported traces.
@@ -117,39 +120,33 @@ impl TraceSink for NullSink {
 /// non-finite values clamped to `0` so the output is always valid JSON.
 #[must_use]
 pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `Display` prints integral floats without a fractional part
-        // ("3"); keep them unmistakably numeric-but-real in JSON ("3.0")
-        // so readers that sniff types stay stable.
-        if s.contains('.') || s.contains('e') || s.contains("inf") {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "0.0".to_string()
+    let mut out = String::new();
+    write_f64(&mut out, v);
+    out
+}
+
+/// Append [`fmt_f64`]'s rendering of `v` to `out`.
+pub fn write_f64(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    if !v.is_finite() {
+        out.push_str("0.0");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    // `Display` prints integral floats without a fractional part ("3");
+    // keep them unmistakably numeric-but-real in JSON ("3.0") so readers
+    // that sniff types stay stable.
+    if !out[start..].contains(['.', 'e']) {
+        out.push_str(".0");
     }
 }
 
 /// Escape a string for inclusion in a JSON document.
 #[must_use]
 pub fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
 }
 

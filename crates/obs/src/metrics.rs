@@ -76,18 +76,24 @@ impl Row {
     /// Render as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append [`to_json`](Self::to_json)'s object to `out`.
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
         for (i, (k, v)) in self.fields.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push('"');
-            out.push_str(&crate::json_escape(k));
+            crate::escape_into(out, k);
             out.push_str("\":");
-            out.push_str(&v.to_json());
+            v.write_json(out);
         }
         out.push('}');
-        out
     }
 }
 
@@ -132,7 +138,7 @@ impl MetricsLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for row in &self.rows {
-            out.push_str(&row.to_json());
+            row.write_json(&mut out);
             out.push('\n');
         }
         out

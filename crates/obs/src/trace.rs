@@ -42,12 +42,28 @@ impl ArgValue {
     /// Render as a JSON value fragment.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append [`to_json`](Self::to_json)'s fragment to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
         match self {
-            ArgValue::U64(v) => v.to_string(),
-            ArgValue::I64(v) => v.to_string(),
-            ArgValue::F64(v) => crate::fmt_f64(*v),
-            ArgValue::Str(s) => format!("\"{}\"", crate::json_escape(s)),
-            ArgValue::Bool(b) => b.to_string(),
+            ArgValue::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::F64(v) => crate::write_f64(out, *v),
+            ArgValue::Str(s) => {
+                out.push('"');
+                crate::escape_into(out, s);
+                out.push('"');
+            }
+            ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
 

@@ -24,9 +24,14 @@
 //! relies on the vendored `serde_json` printing every `f64` in shortest
 //! round-trip form and keeping map entries in insertion order. Both hold
 //! throughout this workspace, so re-serializing the parsed `state` subtree
-//! reproduces the exact bytes that were checksummed.
+//! reproduces the exact bytes that were checksummed. Decoding builds no
+//! tree: one pass over the document checks its syntax and writes the
+//! state's canonical form as it goes ([`serde_json::Reader::write_canonical`]),
+//! and once the checksum holds, the state is read into `T` straight from
+//! its own text.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Kind, Number, Serialize, Source, Value};
+use std::ops::Range;
 use std::path::Path;
 
 /// Schema tag of the current checkpoint format: v3 prices recovery with
@@ -46,14 +51,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn value_u64(v: &Value) -> Option<u64> {
-    match *v {
-        Value::Int(n) => u64::try_from(n).ok(),
-        Value::UInt(n) => Some(n),
-        _ => None,
-    }
-}
-
 /// Encode `state` into the checkpoint document (pretty-printed JSON).
 ///
 /// # Errors
@@ -70,6 +67,63 @@ pub fn encode_checkpoint<T: Serialize>(state: &T) -> Result<String, String> {
     serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())
 }
 
+/// The envelope of a checkpoint document: each field from its key's first
+/// occurrence, `None` when absent or of another kind.
+#[derive(Default)]
+struct Envelope {
+    schema: Option<String>,
+    checksum: Option<u64>,
+    /// The state's text span and its canonical compact form.
+    state: Option<(Range<usize>, String)>,
+}
+
+/// Read the envelope of `text` in one pass that checks the syntax of the
+/// whole document; `None` if the document is not an object.
+fn read_envelope(text: &str) -> Result<Option<Envelope>, serde::Error> {
+    let mut doc = serde_json::Reader::new(text);
+    if doc.peek()? != Kind::Map {
+        doc.skip_value()?;
+        doc.end()?;
+        return Ok(None);
+    }
+    let mut env = Envelope::default();
+    let (mut schema_seen, mut checksum_seen) = (false, false);
+    doc.begin_map()?;
+    while let Some(key) = doc.next_key()? {
+        match key {
+            "schema" if !schema_seen => {
+                schema_seen = true;
+                if doc.peek()? == Kind::Str {
+                    env.schema = Some(doc.read_str()?.to_owned());
+                } else {
+                    doc.skip_value()?;
+                }
+            }
+            "checksum" if !checksum_seen => {
+                checksum_seen = true;
+                if doc.peek()? == Kind::Number {
+                    env.checksum = match doc.read_number()? {
+                        Number::Int(n) => u64::try_from(n).ok(),
+                        Number::UInt(n) => Some(n),
+                        Number::Float(_) => None,
+                    };
+                } else {
+                    doc.skip_value()?;
+                }
+            }
+            "state" if env.state.is_none() => {
+                let start = doc.position();
+                let mut canon = String::new();
+                doc.write_canonical(&mut canon)?;
+                env.state = Some((start..doc.position(), canon));
+            }
+            _ => doc.skip_value()?,
+        }
+    }
+    doc.end()?;
+    Ok(Some(env))
+}
+
 /// Decode a checkpoint document, verifying schema and checksum.
 ///
 /// # Errors
@@ -77,26 +131,23 @@ pub fn encode_checkpoint<T: Serialize>(state: &T) -> Result<String, String> {
 /// (a corrupted or tampered checkpoint), or a `state` that no longer
 /// deserializes into `T`.
 pub fn decode_checkpoint<T: Deserialize>(text: &str) -> Result<T, String> {
-    let doc: Value =
-        serde_json::from_str(text).map_err(|e| format!("checkpoint is not valid JSON: {e}"))?;
-    let map = doc
-        .as_map()
+    let env = read_envelope(text)
+        .map_err(|e| format!("checkpoint is not valid JSON: {e}"))?
         .ok_or_else(|| "checkpoint must be a JSON object".to_string())?;
-    let schema = match serde::find_field(map, "schema") {
-        Some(Value::Str(s)) => s.as_str(),
-        _ => return Err("checkpoint has no schema tag".to_string()),
-    };
+    let schema = env
+        .schema
+        .ok_or_else(|| "checkpoint has no schema tag".to_string())?;
     if schema != SCHEMA {
         return Err(format!(
             "unsupported checkpoint schema {schema:?} (this build reads {SCHEMA:?})"
         ));
     }
-    let recorded = serde::find_field(map, "checksum")
-        .and_then(value_u64)
+    let recorded = env
+        .checksum
         .ok_or_else(|| "checkpoint has no checksum".to_string())?;
-    let state =
-        serde::find_field(map, "state").ok_or_else(|| "checkpoint has no state".to_string())?;
-    let canon = serde_json::to_string(state).map_err(|e| e.to_string())?;
+    let (span, canon) = env
+        .state
+        .ok_or_else(|| "checkpoint has no state".to_string())?;
     let actual = fnv1a64(canon.as_bytes());
     if actual != recorded {
         return Err(format!(
@@ -104,7 +155,7 @@ pub fn decode_checkpoint<T: Deserialize>(text: &str) -> Result<T, String> {
              the file is corrupted or was edited; refusing to resume"
         ));
     }
-    T::from_value(state).map_err(|e| format!("checkpoint state does not decode: {e}"))
+    serde_json::from_str(&text[span]).map_err(|e| format!("checkpoint state does not decode: {e}"))
 }
 
 /// Write a checkpoint file.
@@ -237,5 +288,100 @@ mod tests {
             let err = decode_checkpoint::<u64>(text).unwrap_err();
             assert!(err.contains(needle), "{text} → {err}");
         }
+    }
+
+    /// Decoding through a parsed tree, the reference the streamed decode
+    /// must match: the whole document parsed into a `Value`, the state
+    /// re-serialized for the checksum and read from the tree.
+    fn decode_via_tree<T: Deserialize>(text: &str) -> Result<T, String> {
+        let doc: Value =
+            serde_json::from_str(text).map_err(|e| format!("checkpoint is not valid JSON: {e}"))?;
+        let map = doc
+            .as_map()
+            .ok_or_else(|| "checkpoint must be a JSON object".to_string())?;
+        let schema = match serde::find_field(map, "schema") {
+            Some(Value::Str(s)) => s.as_str(),
+            _ => return Err("checkpoint has no schema tag".to_string()),
+        };
+        if schema != SCHEMA {
+            return Err(format!(
+                "unsupported checkpoint schema {schema:?} (this build reads {SCHEMA:?})"
+            ));
+        }
+        let recorded = match serde::find_field(map, "checksum") {
+            Some(Value::Int(n)) => u64::try_from(*n).ok(),
+            Some(Value::UInt(n)) => Some(*n),
+            _ => None,
+        }
+        .ok_or_else(|| "checkpoint has no checksum".to_string())?;
+        let state =
+            serde::find_field(map, "state").ok_or_else(|| "checkpoint has no state".to_string())?;
+        let canon = serde_json::to_string(state).map_err(|e| e.to_string())?;
+        let actual = fnv1a64(canon.as_bytes());
+        if actual != recorded {
+            return Err(format!(
+                "checkpoint checksum mismatch (recorded {recorded}, computed {actual}): \
+                 the file is corrupted or was edited; refusing to resume"
+            ));
+        }
+        T::from_value(state).map_err(|e| format!("checkpoint state does not decode: {e}"))
+    }
+
+    #[test]
+    fn decoding_matches_the_tree_route_on_edited_checkpoints() {
+        let daemon = crate::Daemon::new(
+            &[parva_deploy::ServiceSpec::new(
+                1,
+                parva_perf::Model::ResNet50,
+                400.0,
+                40.0,
+            )],
+            parva_serve::ArrivalProcess::Poisson,
+            11,
+            500_000,
+            crate::AutoscalePolicy::default(),
+        )
+        .unwrap();
+        let text = encode_checkpoint(&daemon).unwrap();
+        let state = serde_json::to_string(&daemon.to_value()).unwrap();
+        let checksum = fnv1a64(state.as_bytes());
+        // Compact and spaced envelopes around the same state, re-checksummed
+        // where the state itself changes.
+        let doc = |body: &str| {
+            format!(
+                r#"{{"schema":"{SCHEMA}","checksum":{},"state":{body}}}"#,
+                fnv1a64(body.as_bytes())
+            )
+        };
+        let edits = [
+            text.clone(),
+            text.replacen("\"schema\"", "\"schema\": 7, \"schema\"", 1),
+            text.replacen("\"checksum\"", "\"checksum\": -1, \"checksum\"", 1),
+            text.replacen("\"checksum\"", "\"checksum\": 1.5, \"checksum\"", 1),
+            text.replacen("\"state\"", "\"state\": [], \"state\"", 1),
+            text.replacen("\"state\"", "\"extra\": {\"k\": [1, 2]}, \"state\"", 1),
+            text.replacen("\"state\"", "\"stat\"", 1),
+            text.replacen('{', "[", 1),
+            format!("{text} x"),
+            format!("{text}\n\n"),
+            text[..text.len() - 2].to_string(),
+            format!("[{text}]"),
+            doc(&state),
+            doc(&state.replacen("\"epoch_us\":", "\"epoch_us\":\"x\",\"epoch_us\":", 1)),
+            doc(&state.replacen("\"epoch_us\":", "\"epoch_us\":1,\"epoch_us\":", 1)),
+            doc(&state.replacen("\"epoch_us\":500000", "\"epoch_us\":5e5", 1)),
+            doc(&state.replacen("\"policy\":", "\"policy\":null,\"x\":", 1)),
+            doc(&state.replacen('{', "{\"zz\":[[[]]],", 1)),
+            doc("[]"),
+            format!(r#"{{"schema":"{SCHEMA}","checksum":{checksum},"state":{state}"#),
+        ];
+        for text in &edits {
+            let streamed = decode_checkpoint::<crate::Daemon>(text).map(|d| d.to_value());
+            let tree = decode_via_tree::<crate::Daemon>(text).map(|d| d.to_value());
+            assert_eq!(streamed, tree, "{}", &text[..text.len().min(120)]);
+        }
+        assert!(decode_checkpoint::<crate::Daemon>(&edits[0]).is_ok());
+        assert!(decode_checkpoint::<crate::Daemon>(&edits[12]).is_ok());
+        assert!(decode_checkpoint::<crate::Daemon>(&edits[14]).is_ok());
     }
 }

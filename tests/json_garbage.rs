@@ -3,7 +3,8 @@
 //! JSON's own token alphabet must come back as an `Err`, never a panic or
 //! a stack overflow, and whatever the parser accepts must survive a
 //! write/re-parse round trip. Reads are linear: multi-MiB strings parse in
-//! milliseconds.
+//! milliseconds. A type read straight from the text must read as it does
+//! from the parsed tree: the same value, or the same error.
 
 use proptest::prelude::*;
 use serde::Value;
@@ -223,4 +224,254 @@ fn multi_mib_of_short_escaped_strings_parse_in_linear_time() {
     let back: Vec<String> = parse_within_bound(format!("[{}]", vec![item; n].join(",")));
     assert_eq!(back.len(), n);
     assert!(back.iter().all(|s| s == "a\"é\nA"), "{:?}", back.first());
+}
+
+// ------------------------------------------- text reader against tree route
+
+/// An enum of every variant shape the derive reads.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+enum Shape {
+    Empty,
+    Point { x: f64, y: Option<u32> },
+    Tagged(String),
+    Pair(u8, bool),
+}
+
+/// A struct of plain, defaulted, skipped and free-form fields.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct Probe {
+    id: u32,
+    #[serde(default)]
+    tags: Vec<String>,
+    inner: Option<Value>,
+    #[serde(skip)]
+    memo: u8,
+}
+
+/// Valid documents of each target type, the seeds the typed strategy
+/// mutates.
+fn typed_bases() -> Vec<String> {
+    let pod =
+        parvagpu::daemon::PodSpec::new("bert-qa", parvagpu::perf::Model::BertLarge, 130.0, 150.0);
+    let mut bases: Vec<String> = [
+        "[1,2,18446744073709551615]",
+        "[]",
+        "1.5",
+        "-0",
+        "null",
+        r#""Empty""#,
+        r#"{"Point":{"x":1.5,"y":null}}"#,
+        r#"{"Point":{"y":3,"x":-2}}"#,
+        r#"{"Tagged":"a\"b"}"#,
+        r#"{"Pair":[7,true]}"#,
+        r#"{"id":4,"tags":["x","y"],"inner":{"k":[1,{"z":null}]}}"#,
+        r#"{"name":"x","model":"ResNet-50","slo_ms":100.0,"rate_rps":10.0}"#,
+    ]
+    .iter()
+    .map(|s| (*s).to_string())
+    .collect();
+    bases.push(serde_json::to_string(&pod).unwrap());
+    for name in ["quickstart", "fleet_chaos", "region_failover"] {
+        let spec = parvagpu::scenarios::spec_by_name(name).unwrap();
+        bases.push(serde_json::to_string(&spec).unwrap());
+    }
+    bases
+}
+
+/// Shuffle `v`'s map entries by `seed`, duplicating some keys after their
+/// first occurrence with other values and adding unknown keys: a document
+/// every reader must read as it reads `v`.
+fn reshuffle(v: &mut Value, seed: &mut u64) {
+    let next = |seed: &mut u64| {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        *seed as usize
+    };
+    match v {
+        Value::Seq(items) => items.iter_mut().for_each(|item| reshuffle(item, seed)),
+        Value::Map(entries) => {
+            for (_, item) in entries.iter_mut() {
+                reshuffle(item, seed);
+            }
+            if !entries.is_empty() {
+                let n = entries.len();
+                entries.rotate_left(next(seed) % n);
+                let dup = next(seed) % n;
+                let key = entries[dup].0.clone();
+                let at = dup + 1 + next(seed) % (n - dup);
+                entries.insert(at, (key, Value::Str("second".into())));
+            }
+            let at = next(seed) % (entries.len() + 1);
+            entries.insert(at, ("unknown_key".into(), Value::Seq(vec![Value::Null])));
+        }
+        _ => {}
+    }
+}
+
+/// A typed base document, as is, reshuffled, or with one garbage token
+/// spliced in at a random byte.
+fn typed_documents() -> impl Strategy<Value = String> {
+    let bases = typed_bases();
+    (
+        0..bases.len(),
+        0u32..3,
+        any::<prop::sample::Index>(),
+        prop::sample::select(tokens()),
+        any::<u64>(),
+    )
+        .prop_map(move |(base, how, at, token, seed)| {
+            let mut doc = bases[base].clone();
+            match how {
+                0 => {}
+                1 => {
+                    let mut v: Value = serde_json::from_str(&doc).unwrap();
+                    reshuffle(&mut v, &mut (seed | 1));
+                    doc = serde_json::to_string(&v).unwrap();
+                }
+                _ => {
+                    let mut at = at.index(doc.len() + 1);
+                    while !doc.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    doc.insert_str(at, &token);
+                }
+            }
+            doc
+        })
+}
+
+/// `T` read from the text and `T` read from the parsed tree agree: on the
+/// value (compared by its JSON), and on the error text whether the
+/// document is not JSON or not a `T`.
+fn routes_agree<T: serde::Serialize + serde::Deserialize>(doc: &str) -> Result<(), TestCaseError> {
+    let render = |t: T| serde_json::to_string(&t).unwrap();
+    let text = serde_json::from_str::<T>(doc)
+        .map(render)
+        .map_err(|e| e.to_string());
+    let tree = match serde_json::from_str::<Value>(doc) {
+        Ok(v) => T::from_value(&v).map(render).map_err(|e| e.to_string()),
+        Err(e) => Err(e.to_string()),
+    };
+    prop_assert_eq!(
+        &text,
+        &tree,
+        "{} from {:?}",
+        std::any::type_name::<T>(),
+        doc
+    );
+    Ok(())
+}
+
+fn all_routes_agree(doc: &str) -> Result<(), TestCaseError> {
+    routes_agree::<Vec<u64>>(doc)?;
+    routes_agree::<Option<f64>>(doc)?;
+    routes_agree::<Shape>(doc)?;
+    routes_agree::<Probe>(doc)?;
+    routes_agree::<parvagpu::daemon::PodSpec>(doc)?;
+    routes_agree::<parvagpu::scenarios::ScenarioSpec>(doc)?;
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn text_reader_agrees_with_the_tree_route_on_garbage(case in documents()) {
+        all_routes_agree(&case.0)?;
+    }
+
+    #[test]
+    fn text_reader_agrees_with_the_tree_route_on_typed_documents(doc in typed_documents()) {
+        all_routes_agree(&doc)?;
+    }
+}
+
+#[test]
+fn the_typed_bases_read_as_their_types() {
+    let bases = typed_bases();
+    assert!(serde_json::from_str::<Vec<u64>>(&bases[0]).is_ok());
+    assert_eq!(
+        serde_json::from_str::<Option<f64>>("-0").unwrap(),
+        Some(0.0)
+    );
+    assert_eq!(serde_json::from_str::<Value>("-0").unwrap(), Value::Int(0));
+    for doc in &bases[5..10] {
+        serde_json::from_str::<Shape>(doc).unwrap();
+    }
+    serde_json::from_str::<Probe>(&bases[10]).unwrap();
+    for doc in &bases[11..13] {
+        serde_json::from_str::<parvagpu::daemon::PodSpec>(doc).unwrap();
+    }
+    for doc in &bases[13..] {
+        serde_json::from_str::<parvagpu::scenarios::ScenarioSpec>(doc).unwrap();
+    }
+}
+
+#[test]
+fn the_first_of_duplicate_keys_wins() {
+    let probe: Probe = serde_json::from_str(r#"{"id":1,"id":2,"inner":null}"#).unwrap();
+    assert_eq!(probe.id, 1);
+    // A later duplicate is only checked for syntax, never read as a field.
+    let probe: Probe = serde_json::from_str(r#"{"id":1,"inner":null,"id":"x"}"#).unwrap();
+    assert_eq!(probe.id, 1);
+    let err = serde_json::from_str::<Probe>(r#"{"id":"x","inner":null,"id":1}"#).unwrap_err();
+    assert_eq!(err.to_string(), "expected integer, got Str(\"x\")");
+    let shape: Shape = serde_json::from_str(r#"{"Point":{"x":1,"x":"no","y":2}}"#).unwrap();
+    assert_eq!(shape, Shape::Point { x: 1.0, y: Some(2) });
+}
+
+#[test]
+fn unknown_keys_are_skipped_and_keys_come_in_any_order() {
+    let want = Probe {
+        id: 9,
+        tags: vec!["a".into()],
+        inner: Some(Value::Bool(true)),
+        memo: 0,
+    };
+    let ordered = r#"{"id":9,"tags":["a"],"inner":true}"#;
+    let shuffled = r#"{"inner":true,"zz":{"deep":[1,{"k":[]}]},"tags":["a"],"memo":5,"id":9}"#;
+    assert_eq!(serde_json::from_str::<Probe>(ordered).unwrap(), want);
+    assert_eq!(serde_json::from_str::<Probe>(shuffled).unwrap(), want);
+    // A missing required key is named; a defaulted one is filled.
+    let err = serde_json::from_str::<Probe>(r#"{"tags":[],"inner":null}"#).unwrap_err();
+    assert_eq!(err.to_string(), "missing field `id` in `Probe`");
+    let bare: Probe = serde_json::from_str(r#"{"inner":null,"id":0}"#).unwrap();
+    assert!(bare.tags.is_empty());
+}
+
+#[test]
+fn nesting_through_a_typed_field_is_bounded() {
+    let deep = |levels: usize| {
+        format!(
+            r#"{{"id":1,"inner":{}{}}}"#,
+            "[".repeat(levels),
+            "]".repeat(levels)
+        )
+    };
+    // The struct's own map is one level, so its field may nest one fewer.
+    let limit = serde_json::MAX_DEPTH - 1;
+    assert!(serde_json::from_str::<Probe>(&deep(limit)).is_ok());
+    let err = serde_json::from_str::<Probe>(&deep(limit + 1)).unwrap_err();
+    let at = r#"{"id":1,"inner":"#.len() + limit;
+    assert_eq!(
+        err.to_string(),
+        format!("nesting deeper than 128 levels at byte {at}")
+    );
+}
+
+#[test]
+fn a_syntax_error_is_reported_before_any_shape_error() {
+    // The first field is of the wrong type, but the text breaks later on:
+    // the break is the error, at its byte, as when the document was parsed
+    // whole before any field was read.
+    let err = serde_json::from_str::<Probe>(r#"{"id":"x","tags":[1,}"#).unwrap_err();
+    assert_eq!(err.to_string(), "expected a JSON value at byte 20");
+    let err = serde_json::from_str::<Vec<u64>>("[\"x\", 1] ]").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "trailing characters after JSON value at byte 9"
+    );
+    let err = serde_json::from_str::<Vec<u64>>("[\"x\", 1]").unwrap_err();
+    assert_eq!(err.to_string(), "expected integer, got Str(\"x\")");
 }

@@ -13,9 +13,38 @@ use parvagpu::cli::{
     run_spec_with, run_trace_audit, run_trace_diff, run_trace_summary, run_trace_tail, ObsPaths,
 };
 use parvagpu::scenarios::builtin_specs;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A fresh directory of this process's own, removed on drop: tests run in
+/// parallel and several stream the same spec, so no two calls may share a
+/// directory.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(label: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir()
+            .join("parva-trace-analytics-it")
+            .join(format!(
+                "{label}-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 struct Streamed {
-    dir: std::path::PathBuf,
+    dir: ScratchDir,
     shards: String,
     report: String,
 }
@@ -26,22 +55,18 @@ fn stream(name: &str) -> Streamed {
 }
 
 /// Stream one spec (a registered name or spec JSON) at quick scale into
-/// a fresh temp dir named `label`; returns the shard dir and the report
-/// JSON path.
+/// a fresh temp dir named after `label`; returns the shard dir and the
+/// report JSON path.
 fn stream_as(label: &str, input: &str) -> Streamed {
-    let dir = std::env::temp_dir()
-        .join("parva-trace-analytics-it")
-        .join(label);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let shards = dir.join("shards").to_string_lossy().into_owned();
+    let dir = ScratchDir::new(label);
+    let shards = dir.0.join("shards").to_string_lossy().into_owned();
     let obs = ObsPaths {
         stream: Some(shards.clone()),
         ..ObsPaths::default()
     };
     let out = run_spec_with(input, true, true, &obs)
         .unwrap_or_else(|e| panic!("{label} streamed run failed: {e}"));
-    let report = dir.join("report.json").to_string_lossy().into_owned();
+    let report = dir.0.join("report.json").to_string_lossy().into_owned();
     std::fs::write(&report, &out.stdout).unwrap();
     Streamed {
         dir,
@@ -86,7 +111,7 @@ fn audit_rejects_doctored_reports() {
     // Inflate the first per-service "offered" counter by a digit.
     let doctored = original.replacen("\"offered\":", "\"offered\":7", 1);
     assert_ne!(doctored, original);
-    let bad = s.dir.join("doctored.json");
+    let bad = s.dir.0.join("doctored.json");
     std::fs::write(&bad, doctored).unwrap();
     let err = run_trace_audit(&s.shards, bad.to_str().unwrap(), None, None)
         .expect_err("doctored report must fail the audit");
@@ -115,11 +140,8 @@ fn audit_recounts_quota_rejections_and_catches_tampering() {
         {"id": 2, "name": "free", "services": [1]}
       ]
     }"#;
-    let dir = std::env::temp_dir()
-        .join("parva-trace-analytics-it")
-        .join("tenant_serve_probe");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let scratch = ScratchDir::new("tenant_serve_probe");
+    let dir = &scratch.0;
     let shards = dir.join("shards").to_string_lossy().into_owned();
     let obs = ObsPaths {
         stream: Some(shards.clone()),
@@ -184,6 +206,137 @@ fn tail_replays_a_finalized_stream_losslessly() {
             lines,
             concat.lines().map(str::to_string).collect::<Vec<_>>(),
             "{lane} lane replay drift"
+        );
+    }
+}
+
+/// The tree route the analyzer's reader must match: each line, or the
+/// document, parsed whole into a `Value` tree and each event picked out of
+/// it field by field.
+mod tree_route {
+    use parvagpu::obs::analyze::{value_u64, ParsedEvent};
+    use serde::Value;
+
+    fn parse_one_event(v: &Value) -> Result<Option<ParsedEvent>, String> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| format!("trace event is not an object: {v:?}"))?;
+        let field = |key: &str| serde::find_field(map, key);
+        let ph = match field("ph") {
+            Some(Value::Str(s)) => s.chars().next().unwrap_or('?'),
+            _ => return Err("trace event without a \"ph\" phase".into()),
+        };
+        if ph == 'M' {
+            return Ok(None);
+        }
+        let name = match field("name") {
+            Some(Value::Str(s)) => s.clone(),
+            _ => return Err("trace event without a \"name\"".into()),
+        };
+        let cat = match field("cat") {
+            Some(Value::Str(s)) => s.clone(),
+            _ => String::new(),
+        };
+        let ts_us = field("ts")
+            .and_then(value_u64)
+            .ok_or_else(|| format!("event \"{name}\" without an integer \"ts\""))?;
+        let dur_us = field("dur").and_then(value_u64).unwrap_or(0);
+        let pid = field("pid").and_then(value_u64).unwrap_or(0) as u32;
+        let tid = field("tid").and_then(value_u64).unwrap_or(0) as u32;
+        let args = match field("args") {
+            Some(Value::Map(m)) => m.clone(),
+            _ => Vec::new(),
+        };
+        Ok(Some(ParsedEvent {
+            name,
+            cat,
+            ph,
+            ts_us,
+            dur_us,
+            pid,
+            tid,
+            args,
+        }))
+    }
+
+    pub fn parse_trace(text: &str) -> Result<Vec<ParsedEvent>, String> {
+        let trimmed = text.trim_start();
+        let mut out = Vec::new();
+        if trimmed.starts_with("{\"displayTimeUnit\"") || trimmed.starts_with("{\"traceEvents\"") {
+            let doc: Value =
+                serde_json::from_str(trimmed).map_err(|e| format!("trace JSON: {e}"))?;
+            let map = doc.as_map().ok_or("trace document is not an object")?;
+            let events = serde::find_field(map, "traceEvents")
+                .and_then(Value::as_seq)
+                .ok_or("trace document without a \"traceEvents\" array")?;
+            for ev in events {
+                out.extend(parse_one_event(ev)?);
+            }
+        } else {
+            for (i, line) in text.lines().enumerate() {
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let v: Value =
+                    serde_json::from_str(line).map_err(|e| format!("trace line {}: {e}", i + 1))?;
+                out.extend(parse_one_event(&v)?);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// `parse_trace` reads every registered spec's quick JSONL and Chrome
+/// traces into exactly the events the tree route rebuilds, and reads
+/// broken, reordered and duplicated variants of them with the same events
+/// or the same error.
+#[test]
+fn parse_trace_matches_the_tree_route_on_every_registered_spec() {
+    use parvagpu::obs::analyze::parse_trace;
+    for spec in builtin_specs() {
+        let (_, rec) = spec.quick().run_observed().unwrap();
+        for text in [rec.trace_jsonl(), rec.chrome_trace()] {
+            let events = parse_trace(&text).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            assert!(!events.is_empty(), "{}", spec.name);
+            assert_eq!(Ok(events), tree_route::parse_trace(&text), "{}", spec.name);
+        }
+    }
+    let (_, rec) = parvagpu::scenarios::spec_by_name("quickstart")
+        .unwrap()
+        .quick()
+        .run_observed()
+        .unwrap();
+    let (jsonl, chrome) = (rec.trace_jsonl(), rec.chrome_trace());
+    let edits: [(&str, &str); 12] = [
+        ("\"ph\":\"X\"", "\"ph\":7"),
+        ("\"ph\":\"X\"", "\"ph\":\"X\",\"ph\":\"M\""),
+        ("\"ph\":\"i\"", "\"ph\":3,\"ph\":\"i\""),
+        ("\"ph\":\"X\"", "\"ph\":\"\""),
+        ("\"ts\":", "\"ts\":-"),
+        ("\"ts\":", "\"ts\":1.5,\"ts\":"),
+        ("\"name\":", "\"nome\":"),
+        ("\"name\":", "\"name\":\"first\",\"name\":"),
+        ("\"args\":{", "\"args\":7,\"args\":{"),
+        ("\"pid\":", "\"pid\":\"x\",\"pid\":"),
+        ("\"cat\":", "\"zz\":[{}],\"cat\":"),
+        (",\"tid\":", ",}"),
+    ];
+    let mut variants: Vec<String> = edits
+        .iter()
+        .flat_map(|(from, to)| [jsonl.replacen(from, to, 1), chrome.replacen(from, to, 1)])
+        .collect();
+    variants.push(jsonl[..jsonl.len() - 9].to_string());
+    variants.push(format!("{jsonl}[1]\n"));
+    variants.push(chrome.replacen("\"traceEvents\":[", "\"traceEvents\":{", 1));
+    variants.push(chrome.replacen("\"traceEvents\":", "\"traceEvents\":0,\"traceEvents\":", 1));
+    variants.push(chrome.replacen("\"traceEvents\"", "\"otherEvents\"", 1));
+    variants.push(chrome.replacen("]}", "],\"traceEvents\":7}", 1));
+    for text in &variants {
+        assert_eq!(
+            parse_trace(text),
+            tree_route::parse_trace(text),
+            "{}",
+            &text[..text.len().min(200)]
         );
     }
 }
